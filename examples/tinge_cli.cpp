@@ -146,9 +146,10 @@ int run_cluster_tcp(const tinge::ArgParser& args,
   }
   cluster::remove_rendezvous_dir(rendezvous);
   if (!cluster::all_workers_succeeded(exits)) {
-    // Attribute the failure: the first worker reaped with a bad status is
-    // almost always the root cause — everything after it died of peer
-    // failure or teardown.
+    // Attribute the failure: the earliest-reaped bad exit that is not a
+    // watcher (exit 3 = saw a peer fail; SIGTERM = launcher teardown) is
+    // the root cause. Reap order alone is not enough: workers that exited
+    // together are reaped in spawn order.
     for (const cluster::WorkerExit& exit : exits)
       if (exit.failed())
         std::fprintf(stderr, "error: worker rank %d %s\n", exit.rank,

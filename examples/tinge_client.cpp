@@ -74,11 +74,20 @@ int main(int argc, char** argv) {
   args.add("k", "neighbors/top: result limit (0 = all)", "0");
   args.add("genes", "subgraph: comma-separated gene ids");
   args.add("repeat", "issue the query this many times (prints once)", "1");
+  args.add_flag("help", "show this help");
   try {
     args.parse(argc, argv);
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
+    std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
+  }
+  if (args.get_flag("help")) {
+    std::fputs(args.usage("tinge_client",
+                          "Command-line client for a running tinge_serve "
+                          "daemon: one query per invocation.")
+                   .c_str(),
+               stdout);
+    return 0;
   }
 
   try {
@@ -141,7 +150,7 @@ int main(int argc, char** argv) {
         client.shutdown_server();
         if (last) std::printf("ok\n");
       } else {
-        std::fprintf(stderr, "unknown --query=%s\n", query.c_str());
+        std::fprintf(stderr, "error: unknown --query=%s\n", query.c_str());
         return 2;
       }
     }

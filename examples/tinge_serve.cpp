@@ -39,11 +39,21 @@ int main(int argc, char** argv) {
   args.add("cache-mb", "tile-cache budget in MiB (0 disables caching)", "64");
   args.add("dataset-id", "dataset identity baked into tile-cache keys",
            "default");
+  args.add_flag("help", "show this help");
   try {
     args.parse(argc, argv);
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
+    std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
+  }
+  if (args.get_flag("help")) {
+    std::fputs(args.usage("tinge_serve",
+                          "Resident query daemon: builds one dataset's "
+                          "network, then serves MI, neighborhood and "
+                          "sweep queries over framed TCP on loopback.")
+                   .c_str(),
+               stdout);
+    return 0;
   }
 
   try {

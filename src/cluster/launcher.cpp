@@ -14,6 +14,7 @@
 #include <cstring>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "util/str.h"
 
@@ -127,11 +128,23 @@ std::vector<WorkerExit> launch_workers(
     exits[static_cast<std::size_t>(rank)].rank = rank;
   }
 
-  // Reap in completion order so one crashed worker fails the run promptly
-  // instead of after the survivors' rendezvous/recv timeouts. Every
-  // exits[] entry starts at the kWorkerExitUnreaped sentinel: if waitpid
-  // fails outright (ECHILD — something else reaped our children), the
-  // unreaped ranks must report as failures, not as default successes.
+  // Reap whichever worker exits next so one crashed worker fails the run
+  // promptly instead of after the survivors' rendezvous/recv timeouts
+  // (workers that exited together come back in spawn order, so
+  // reap_order is not exit order). Every exits[] entry starts at the
+  // kWorkerExitUnreaped sentinel: if waitpid fails outright (ECHILD —
+  // something else reaped our children), the unreaped ranks must report
+  // as failures, not as default successes.
+  const auto terminate_unreaped = [&](int except_rank) {
+    for (int r = 0; r < size; ++r) {
+      WorkerExit& survivor = exits[static_cast<std::size_t>(r)];
+      const pid_t pid = pids[static_cast<std::size_t>(r)];
+      // A reaped worker's pid may already belong to another process.
+      if (r == except_rank || survivor.reaped() || pid <= 0) continue;
+      survivor.terminated_by_launcher = true;
+      ::kill(pid, SIGTERM);
+    }
+  };
   int remaining = size;
   int reap_counter = 0;
   bool terminated_survivors = false;
@@ -157,22 +170,12 @@ std::vector<WorkerExit> launch_workers(
       exit.exit_code = -1;
     if (exit.exit_code != 0 && !terminated_survivors) {
       terminated_survivors = true;
-      for (int r = 0; r < size; ++r) {
-        if (r == rank) continue;
-        const pid_t survivor = pids[static_cast<std::size_t>(r)];
-        if (survivor > 0) ::kill(survivor, SIGTERM);
-      }
+      terminate_unreaped(rank);
     }
   }
-  if (remaining > 0) {
-    // waitpid gave up with workers outstanding: best-effort teardown so an
-    // unreapable (but possibly live) mesh does not outlive the launcher.
-    for (int r = 0; r < size; ++r) {
-      if (!exits[static_cast<std::size_t>(r)].reaped() &&
-          pids[static_cast<std::size_t>(r)] > 0)
-        ::kill(pids[static_cast<std::size_t>(r)], SIGTERM);
-    }
-  }
+  // waitpid gave up with workers outstanding: best-effort teardown so an
+  // unreapable (but possibly live) mesh does not outlive the launcher.
+  if (remaining > 0) terminate_unreaped(-1);
   // Abnormal exit: workers killed mid-rendezvous had no chance to tidy up,
   // and their published ports are now dead. Scrub so a later run against
   // the same directory starts clean even without the nonce check.
@@ -186,16 +189,35 @@ bool all_workers_succeeded(const std::vector<WorkerExit>& exits) {
   return !exits.empty();
 }
 
+namespace {
+
+bool terminated_by_launcher_signal(const WorkerExit& exit) {
+  return exit.terminated_by_launcher && exit.exit_code == 128 + SIGTERM;
+}
+
+/// How little an exit implicates its worker: 0 = failed on its own,
+/// 1 = outcome unknown (never reaped), 2 = a watcher of another's failure.
+int blame_tier(const WorkerExit& exit) {
+  if (!exit.reaped()) return 1;
+  const bool watcher = exit.exit_code == kWorkerExitPeerFailure ||
+                       terminated_by_launcher_signal(exit);
+  return watcher ? 2 : 0;
+}
+
+}  // namespace
+
 const WorkerExit* first_failure(const std::vector<WorkerExit>& exits) {
+  // Within a tier the earliest reap wins; unreaped workers all carry
+  // reap_order -1, so the strict comparison keeps the lowest rank.
   const WorkerExit* first = nullptr;
   for (const WorkerExit& exit : exits) {
-    if (!exit.failed() || !exit.reaped()) continue;
-    if (first == nullptr || exit.reap_order < first->reap_order) first = &exit;
+    if (!exit.failed()) continue;
+    if (first == nullptr ||
+        std::pair(blame_tier(exit), exit.reap_order) <
+            std::pair(blame_tier(*first), first->reap_order))
+      first = &exit;
   }
-  if (first != nullptr) return first;
-  for (const WorkerExit& exit : exits)
-    if (exit.failed()) return &exit;  // unreaped (sentinel) failures
-  return nullptr;
+  return first;
 }
 
 std::string describe_worker_exit(const WorkerExit& exit) {
@@ -205,6 +227,10 @@ std::string describe_worker_exit(const WorkerExit& exit) {
   if (exit.exit_code == kWorkerExitPeerFailure)
     return strprintf("observed a peer failure (exit code %d)",
                      kWorkerExitPeerFailure);
+  if (terminated_by_launcher_signal(exit))
+    return strprintf(
+        "terminated by the launcher after another worker failed (signal %d)",
+        SIGTERM);
   if (exit.exit_code == 127) return "could not exec the worker binary (127)";
   if (exit.exit_code > 128)
     return strprintf("killed by signal %d (%s)", exit.exit_code - 128,

@@ -35,7 +35,7 @@ std::uint64_t make_run_nonce();
 /// Exit code a worker uses when it observed a *peer* failure
 /// (PeerFailureError / TimeoutError) rather than failing itself — lets the
 /// launcher separate the rank that caused a failure from the ranks that
-/// merely watched it happen.
+/// merely watched it happen (see first_failure).
 inline constexpr int kWorkerExitPeerFailure = 3;
 
 /// Sentinel exit_code for a worker the launcher never reaped (waitpid
@@ -50,8 +50,13 @@ struct WorkerExit {
   /// until the launcher actually reaps the process.
   int exit_code = kWorkerExitUnreaped;
   /// 0-based order in which the launcher reaped this worker (-1 if never
-  /// reaped) — how "which rank failed *first*" is attributed.
+  /// reaped): the order the launcher *noticed* exits, not the order they
+  /// happened — waitpid hands back workers that exited together in spawn
+  /// order.
   int reap_order = -1;
+  /// True if the launcher SIGTERMed this worker (survivor teardown after
+  /// another worker's bad exit) before reaping it.
+  bool terminated_by_launcher = false;
 
   bool reaped() const { return reap_order >= 0; }
   bool failed() const { return exit_code != 0; }
@@ -64,9 +69,10 @@ struct WorkerExit {
 /// scrubbed before spawning, and scrubbed again after a failed run, so a
 /// crashed mesh never leaves port files a later run could dial. If any
 /// worker fails, the survivors are SIGTERMed so a half-dead mesh cannot
-/// hang the launcher past the workers' own rendezvous timeout. Returns
-/// per-worker exits indexed by rank; ranks the launcher could not reap
-/// keep the kWorkerExitUnreaped sentinel.
+/// hang the launcher past the workers' own rendezvous timeout (and are
+/// marked terminated_by_launcher). Returns per-worker exits indexed by
+/// rank; ranks the launcher could not reap keep the kWorkerExitUnreaped
+/// sentinel.
 std::vector<WorkerExit> launch_workers(
     const std::string& program, const std::vector<std::string>& common_args,
     int size, const std::string& rendezvous_dir);
@@ -74,14 +80,18 @@ std::vector<WorkerExit> launch_workers(
 /// True iff every worker was reaped and exited with status 0.
 bool all_workers_succeeded(const std::vector<WorkerExit>& exits);
 
-/// The worker that failed first: the failed exit with the lowest
-/// reap_order, falling back to the lowest-rank unreaped worker when no
-/// reaped worker failed. nullptr when the run succeeded.
+/// The worker to blame for a failed run: the earliest-reaped failure that
+/// is not a *watcher*. A watcher exited with kWorkerExitPeerFailure, or
+/// with 128+SIGTERM after the launcher SIGTERMed it; it only reacted to
+/// another worker's failure, and under load it can be reaped before the
+/// culprit. Next come unreaped workers (outcome unknown; lowest rank
+/// first), then watchers in reap order. nullptr when the run succeeded.
 const WorkerExit* first_failure(const std::vector<WorkerExit>& exits);
 
 /// Human-readable cause for one worker's exit: "exited with code 40",
 /// "killed by signal 15 (Terminated)", "observed a peer failure (exit
-/// code 3)", "was never reaped (outcome unknown)".
+/// code 3)", "terminated by the launcher after another worker failed
+/// (signal 15)", "was never reaped (outcome unknown)".
 std::string describe_worker_exit(const WorkerExit& exit);
 
 /// Path of the binary `name` living next to the currently running

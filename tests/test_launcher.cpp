@@ -42,6 +42,71 @@ TEST(ClusterLauncherTest, FirstFailureIsByReapOrderNotRank) {
   EXPECT_EQ(first->rank, 2);
 }
 
+TEST(ClusterLauncherTest, FirstFailureSkipsPeerFailureWatchersReapedFirst) {
+  // The exits of a 4-rank run whose rank 1 was crash-killed (exit 40):
+  // under load all four had exited before the launcher woke, so waitpid
+  // returned them in spawn order and watcher rank 0 was reaped first.
+  // Reaping rank 0 SIGTERMed the other three, corpses included.
+  std::vector<WorkerExit> exits(4);
+  exits[0] = {/*rank=*/0, /*exit_code=*/kWorkerExitPeerFailure,
+              /*reap_order=*/0};
+  exits[1] = {/*rank=*/1, /*exit_code=*/40, /*reap_order=*/1,
+              /*terminated_by_launcher=*/true};
+  exits[2] = {/*rank=*/2, /*exit_code=*/kWorkerExitPeerFailure,
+              /*reap_order=*/2, /*terminated_by_launcher=*/true};
+  exits[3] = {/*rank=*/3, /*exit_code=*/kWorkerExitPeerFailure,
+              /*reap_order=*/3, /*terminated_by_launcher=*/true};
+  const WorkerExit* first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 1);
+}
+
+TEST(ClusterLauncherTest, FirstFailureSkipsLauncherTerminatedSurvivors) {
+  // A survivor the launcher SIGTERMed (143) is reaped before the culprit:
+  // teardown is not a failure of its own.
+  std::vector<WorkerExit> exits(4);
+  exits[0] = {/*rank=*/0, /*exit_code=*/kWorkerExitPeerFailure,
+              /*reap_order=*/0};
+  exits[1] = {/*rank=*/1, /*exit_code=*/40, /*reap_order=*/2,
+              /*terminated_by_launcher=*/true};
+  exits[2] = {/*rank=*/2, /*exit_code=*/128 + SIGTERM, /*reap_order=*/1,
+              /*terminated_by_launcher=*/true};
+  exits[3] = {/*rank=*/3, /*exit_code=*/128 + SIGTERM, /*reap_order=*/3,
+              /*terminated_by_launcher=*/true};
+  const WorkerExit* first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 1);
+  EXPECT_NE(describe_worker_exit(exits[2]).find("launcher"),
+            std::string::npos);
+
+  // A SIGTERM the launcher did not send is the worker's own failure.
+  exits[2].terminated_by_launcher = false;
+  first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 2);
+}
+
+TEST(ClusterLauncherTest, FirstFailureFallsBackToReapOrderAmongWatchers) {
+  // Only watchers failed (e.g. the culprit wedged and was torn down):
+  // plain reap order decides.
+  std::vector<WorkerExit> exits(3);
+  exits[0] = {/*rank=*/0, /*exit_code=*/kWorkerExitPeerFailure,
+              /*reap_order=*/1};
+  exits[1] = {/*rank=*/1, /*exit_code=*/128 + SIGTERM, /*reap_order=*/0,
+              /*terminated_by_launcher=*/true};
+  exits[2] = {/*rank=*/2, /*exit_code=*/0, /*reap_order=*/2};
+  const WorkerExit* first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 1);
+
+  // A worker of unknown outcome is a likelier culprit than a watcher.
+  exits[2] = {/*rank=*/2, /*exit_code=*/kWorkerExitUnreaped,
+              /*reap_order=*/-1};
+  first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 2);
+}
+
 TEST(ClusterLauncherTest, CleanExitsAreSkippedByFirstFailure) {
   std::vector<WorkerExit> exits(2);
   exits[0] = {/*rank=*/0, /*exit_code=*/0, /*reap_order=*/0};
@@ -119,6 +184,28 @@ TEST(ClusterLauncherTest, LaunchReportsAFailedWorkersExitCode) {
   const WorkerExit* first = first_failure(exits);
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->rank, 0);
+}
+
+TEST(ClusterLauncherTest, LaunchMarksTheSurvivorsItTearsDown) {
+  // Rank 1 fails; ranks 0 and 2 would sleep for 30 s but are SIGTERMed by
+  // the launcher's teardown. The launcher appends --cluster-rank=<r> as
+  // the script's $1.
+  const std::vector<WorkerExit> exits = launch_workers(
+      "/bin/sh",
+      {"-c", "case \"$1\" in --cluster-rank=1) exit 40;; esac; exec sleep 30",
+       "sh"},
+      3, "/tmp");
+  ASSERT_EQ(exits.size(), 3u);
+  EXPECT_EQ(exits[1].exit_code, 40);
+  EXPECT_FALSE(exits[1].terminated_by_launcher);
+  for (const int rank : {0, 2}) {
+    const WorkerExit& survivor = exits[static_cast<std::size_t>(rank)];
+    EXPECT_TRUE(survivor.terminated_by_launcher) << "rank " << rank;
+    EXPECT_EQ(survivor.exit_code, 128 + SIGTERM) << "rank " << rank;
+  }
+  const WorkerExit* first = first_failure(exits);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->rank, 1);
 }
 
 TEST(ClusterLauncherTest, EchildLeavesFailureSentinels) {
