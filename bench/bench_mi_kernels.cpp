@@ -1,10 +1,12 @@
 // Experiment F2 [reconstructed]: vectorization speedup of the B-spline MI
 // kernel — the paper's central single-thread optimization claim (scalar vs
-// 512-bit VPU formulation on the Phi; scalar vs AVX here).
+// 512-bit VPU formulation on the Phi; the scalar reference vs the
+// register-resident vector kernel here). Both kernels compute the same
+// bits (mi/bspline_kernels.h), so every row measures speed only.
 //
 // Two outputs:
-//   1. a paper-style table (kernel variant x sample count -> pairs/s and
-//      speedup over scalar),
+//   1. paper-style tables (kernel x sample count -> pairs/s and speedup
+//      over scalar; per-pair vs panel; uint16 rank staging),
 //   2. google-benchmark microbenchmarks for kernel-grade timing.
 #include <benchmark/benchmark.h>
 
@@ -41,13 +43,11 @@ double measure_pairs_per_second(const BsplineMi& estimator,
 void summary_table(bench::BenchJson& out) {
   bench::print_header(
       "F2: MI kernel vectorization speedup (single thread)",
-      "pairs/s per kernel variant; speedup relative to the scalar kernel. "
-      "b=10, k=3 (TINGe defaults).");
+      "per-pair pairs/s per kernel; speedup relative to the scalar "
+      "reference. b=10, k=3 (TINGe defaults).");
 
   const std::vector<std::size_t> sample_counts{256, 1024, 3137};
-  std::vector<MiKernel> kernels{MiKernel::Scalar, MiKernel::Unrolled,
-                                MiKernel::Simd, MiKernel::Replicated};
-  if (gather512_available()) kernels.push_back(MiKernel::Gather512);
+  const MiKernel kernels[] = {MiKernel::Scalar, MiKernel::Simd};
 
   Table table({"m (samples)", "kernel", "pairs/s", "Mcells/s", "speedup"});
   for (const std::size_t m : sample_counts) {
@@ -121,7 +121,8 @@ double measure_panel_pairs_per_second(const BsplineMi& estimator,
          i += width) {
       for (std::size_t p = 0; p < width; ++p)
         ry[p] = ranks.ranks(i + 1 + p).data();
-      estimator.mi_panel(ranks.ranks(i), ry, width, scratch, kernel, mi);
+      estimator.mi_panel(ranks.ranks(i).data(), ry, width, scratch, kernel,
+                         mi);
       for (std::size_t p = 0; p < width; ++p) sink += mi[p];
       pairs += width;
     }
@@ -137,11 +138,7 @@ void panel_table() {
       "genes) against the best per-pair kernel. b=10, k=3.");
 
   const std::vector<std::size_t> sample_counts{256, 1024, 2048, 3137};
-  std::vector<MiKernel> pair_kernels{MiKernel::Scalar, MiKernel::Simd,
-                                     MiKernel::Replicated};
-  if (gather512_available()) pair_kernels.push_back(MiKernel::Gather512);
-  std::vector<MiKernel> panel_kernels{MiKernel::Simd};
-  if (gather512_available()) panel_kernels.push_back(MiKernel::Gather512);
+  const MiKernel kernels[] = {MiKernel::Scalar, MiKernel::Simd};
 
   Table table({"m (samples)", "path", "B", "pairs/s", "speedup vs best pair"});
   for (const std::size_t m : sample_counts) {
@@ -150,7 +147,7 @@ void panel_table() {
 
     double best_pair = 0.0;
     const char* best_pair_name = "?";
-    for (const MiKernel kernel : pair_kernels) {
+    for (const MiKernel kernel : kernels) {
       const double rate =
           measure_pairs_per_second(estimator, data.ranked(), kernel);
       if (rate > best_pair) {
@@ -162,7 +159,7 @@ void panel_table() {
                    strprintf("pair/%s (best)", best_pair_name), "1",
                    bench::rate_str(best_pair), "1.00x"});
 
-    for (const MiKernel kernel : panel_kernels) {
+    for (const MiKernel kernel : kernels) {
       for (const std::size_t width : {std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
         const double rate = measure_panel_pairs_per_second(
@@ -183,20 +180,18 @@ void panel_table() {
   }
   table.print();
   std::printf(
-      "\nThe panel path amortizes the row gene's offset/weight lookups over\n"
-      "B histograms and needs no replica merge; the engine uses it for all\n"
-      "tile sweeps. Target: >= 1.3x over the best per-pair kernel at m >=\n"
-      "2048.\n\n");
+      "\nThe panel path sorts the row gene once and shares its weight\n"
+      "broadcasts across B register windows; the engine uses it for all\n"
+      "tile sweeps.\n\n");
 }
 
-// ---- memory-side panel knobs (F2c) -----------------------------------------
+// ---- uint16 rank staging (F2c) ----------------------------------------------
 
-// Measures the FMA panel with an explicit PanelOptions policy over rank rows
-// served by `row` (uint32 or uint16 — deduced).
+// Measures the vector panel over rank rows served by `row` (uint32 or
+// uint16 — deduced).
 template <typename RowFn>
-double measure_panel_options(const BsplineMi& estimator, std::size_t n,
-                             RowFn row, const PanelOptions& options,
-                             std::size_t width, double budget_seconds = 0.3) {
+double measure_panel_rows(const BsplineMi& estimator, std::size_t n, RowFn row,
+                          std::size_t width, double budget_seconds = 0.3) {
   JointHistogram scratch = estimator.make_scratch();
   Stopwatch watch;
   std::size_t pairs = 0;
@@ -208,7 +203,7 @@ double measure_panel_options(const BsplineMi& estimator, std::size_t n,
     for (std::size_t i = 0; i + width < n && watch.seconds() < budget_seconds;
          i += width) {
       for (std::size_t p = 0; p < width; ++p) ry[p] = row(i + 1 + p);
-      estimator.mi_panel(row(i), ry, width, scratch, options, mi);
+      estimator.mi_panel(row(i), ry, width, scratch, MiKernel::Simd, mi);
       for (std::size_t p = 0; p < width; ++p) sink += mi[p];
       pairs += width;
     }
@@ -217,34 +212,17 @@ double measure_panel_options(const BsplineMi& estimator, std::size_t n,
   return static_cast<double>(pairs) / watch.seconds();
 }
 
-// One row per memory-side knob against the panel-FMA baseline (all knobs
-// off, uint32 ranks). Every variant computes bit-identical MI values — the
-// knobs change where bytes come from, not which floats are multiplied.
+// The vector panel over uint32 rank rows against uint16 staged rows. Both
+// compute bit-identical MI values; the staged rows halve the rank bytes.
 void panel_knob_table(bench::BenchJson& out) {
   bench::print_header(
-      "F2c: panel-FMA memory-side knobs (single thread)",
-      "pairs/s of the B=8 FMA panel with each knob alone, then all "
-      "together; speedup vs the all-off baseline. b=10, k=3.");
+      "F2c: uint16 rank staging (single thread)",
+      "pairs/s of the B=8 vector panel over uint32 and uint16 rank rows; "
+      "speedup vs uint32. b=10, k=3.");
 
   const std::vector<std::size_t> sample_counts{2048, 3137};
   constexpr std::size_t kWidth = 8;
   constexpr std::size_t kGenes = 64;
-
-  struct Variant {
-    const char* name;
-    bool u16;
-    PanelOptions options;
-  };
-  const PanelOptions base{MiKernel::Simd, /*prefetch=*/false,
-                          /*packed=*/false};
-  const std::vector<Variant> variants{
-      {"baseline (u32, all off)", false, base},
-      {"+uint16 rank staging", true, base},
-      {"+packed weight table", false,
-       PanelOptions{MiKernel::Simd, false, true}},
-      {"+software prefetch", false, PanelOptions{MiKernel::Simd, true, false}},
-      {"all on", true, PanelOptions{MiKernel::Simd, true, true}},
-  };
 
   Table table({"m (samples)", "variant", "pairs/s", "speedup"});
   for (const std::size_t m : sample_counts) {
@@ -256,20 +234,20 @@ void panel_knob_table(bench::BenchJson& out) {
     };
     const auto row16 = [&](std::size_t g) { return staged.row(g); };
 
-    double baseline_rate = 0.0;
-    for (const Variant& variant : variants) {
-      const double rate =
-          variant.u16 ? measure_panel_options(estimator, kGenes, row16,
-                                              variant.options, kWidth)
-                      : measure_panel_options(estimator, kGenes, row32,
-                                              variant.options, kWidth);
-      if (baseline_rate == 0.0) baseline_rate = rate;
-      table.add_row({std::to_string(m), variant.name, bench::rate_str(rate),
+    const double baseline_rate =
+        measure_panel_rows(estimator, kGenes, row32, kWidth);
+    const double staged_rate =
+        measure_panel_rows(estimator, kGenes, row16, kWidth);
+    const std::pair<const char*, double> variants[] = {
+        {"baseline (u32 ranks)", baseline_rate},
+        {"+uint16 rank staging", staged_rate}};
+    for (const auto& [name, rate] : variants) {
+      table.add_row({std::to_string(m), name, bench::rate_str(rate),
                      strprintf("%.2fx", rate / baseline_rate)});
       obs::Json json = obs::Json::object();
       json["table"] = obs::Json(std::string("panel_knobs"));
       json["samples"] = obs::Json(m);
-      json["variant"] = obs::Json(std::string(variant.name));
+      json["variant"] = obs::Json(std::string(name));
       json["pairs_per_second"] = obs::Json(rate);
       json["speedup_vs_baseline"] = obs::Json(rate / baseline_rate);
       out.add_row(std::move(json));
@@ -277,8 +255,8 @@ void panel_knob_table(bench::BenchJson& out) {
   }
   table.print();
   std::printf(
-      "\nAll rows are bit-identical in output; the deltas are pure memory-\n"
-      "system effects (rank-stream bytes, table-row loads, miss latency).\n\n");
+      "\nBoth rows are bit-identical in output; the delta is the rank-stream\n"
+      "bytes.\n\n");
 }
 
 // ---- google-benchmark microbenchmarks --------------------------------------
@@ -315,7 +293,7 @@ void BM_JointEntropyPanel(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t p = 0; p < width; ++p)
       ry[p] = data.ranked().ranks((i + 1 + p) % 16).data();
-    estimator.mi_panel(data.ranked().ranks(i % 16), ry, width, scratch,
+    estimator.mi_panel(data.ranked().ranks(i % 16).data(), ry, width, scratch,
                        kernel, mi);
     benchmark::DoNotOptimize(mi[0]);
     i += width;
@@ -327,9 +305,7 @@ void BM_JointEntropyPanel(benchmark::State& state) {
 }
 
 void register_benchmarks() {
-  std::vector<MiKernel> kernels{MiKernel::Scalar, MiKernel::Unrolled,
-                                MiKernel::Simd, MiKernel::Replicated};
-  if (gather512_available()) kernels.push_back(MiKernel::Gather512);
+  const MiKernel kernels[] = {MiKernel::Scalar, MiKernel::Simd};
   for (const MiKernel kernel : kernels) {
     for (const std::int64_t m : {256, 1024, 3137}) {
       benchmark::RegisterBenchmark(
@@ -340,9 +316,7 @@ void register_benchmarks() {
           ->Args({static_cast<std::int64_t>(kernel), m});
     }
   }
-  std::vector<MiKernel> panel_kernels{MiKernel::Simd};
-  if (gather512_available()) panel_kernels.push_back(MiKernel::Gather512);
-  for (const MiKernel kernel : panel_kernels) {
+  for (const MiKernel kernel : kernels) {
     for (const std::int64_t m : {1024, 3137}) {
       for (const std::int64_t width : {4, 8}) {
         benchmark::RegisterBenchmark(

@@ -61,24 +61,22 @@ void tile_size_table(const bench::EngineFixture& fixture, par::ThreadPool& pool,
       "the working set fills a core's private cache.\n");
 }
 
-// F2c: each memory-side knob measured one at a time against the panel-FMA
-// baseline with every knob off. All variants produce bit-identical networks
-// (the knobs change where bytes come from, not which floats are multiplied),
-// so the speedup column is the entire story.
+// F2c: each memory-side knob measured one at a time against the vector
+// panel baseline with every knob off. All variants produce bit-identical
+// networks (the knobs change where bytes come from, not which floats are
+// multiplied), so the speedup column is the entire story.
 void knob_ablation_table(const bench::EngineFixture& fixture,
                          par::ThreadPool& pool, std::size_t n, std::size_t m,
                          int threads, bench::BenchJson& out) {
   bench::print_header(
-      "F2c: memory-side knob ablation (panel-FMA baseline, all knobs off)",
+      "F2c: memory-side knob ablation (vector panel, all knobs off)",
       strprintf("%zu genes x %zu samples, %d threads, %d NUMA node(s); "
                 "speedup of each knob alone, then all together.",
                 n, m, threads, par::detect_numa_layout().nodes));
 
   TingeConfig baseline = bench::engine_config(threads);
-  baseline.kernel = MiKernel::Simd;  // pin the FMA panel: knobs only
+  baseline.kernel = MiKernel::Simd;  // pin the vector panel: knobs only
   baseline.stage_ranks = false;
-  baseline.packed_table = KnobMode::Off;
-  baseline.prefetch = KnobMode::Off;
   baseline.numa = KnobMode::Off;
 
   struct Variant {
@@ -94,35 +92,19 @@ void knob_ablation_table(const bench::EngineFixture& fixture,
   }
   {
     TingeConfig c = baseline;
-    c.packed_table = KnobMode::On;
-    variants.push_back({"+packed weight table", c});
-  }
-  {
-    TingeConfig c = baseline;
-    c.prefetch = KnobMode::On;
-    variants.push_back({"+software prefetch", c});
-  }
-  {
-    TingeConfig c = baseline;
     c.numa = KnobMode::On;
     variants.push_back({"+NUMA tile scheduling", c});
   }
   {
     TingeConfig c = baseline;
     c.stage_ranks = true;
-    c.packed_table = KnobMode::On;
-    c.prefetch = KnobMode::On;
     c.numa = KnobMode::On;
     variants.push_back({"all on", c});
   }
   {
-    // What the engine actually ships: measured-auto keeps the knobs that
-    // win on this host and drops the ones that lose, so this row should
-    // never fall below the baseline by more than measurement noise.
+    // What the engine actually ships: staging on, NUMA by host detection.
     TingeConfig c = baseline;
     c.stage_ranks = true;
-    c.packed_table = KnobMode::Auto;
-    c.prefetch = KnobMode::Auto;
     c.numa = KnobMode::Auto;
     variants.push_back({"auto (default knobs)", c});
   }

@@ -64,7 +64,8 @@ inline void add_pipeline_options(ArgParser& args) {
   args.add("panel", "MI panel width B, 1-8 (0 = auto from cache footprint)",
            strprintf("%d", defaults.panel_width));
   args.add("kernel",
-           "MI kernel: auto|scalar|unrolled|simd|replicated|gather512",
+           std::string("MI kernel: ") + kernel_names() +
+               " (same bits; scalar is the reference)",
            std::string(kernel_name(defaults.kernel)));
   args.add("numa", "NUMA-aware tile scheduling: on|off|auto",
            std::string(knob_mode_name(defaults.numa)));
@@ -75,12 +76,6 @@ inline void add_pipeline_options(ArgParser& args) {
   args.add("stage-ranks",
            "stage rank rows as uint16 when samples <= 65536: on|off",
            defaults.stage_ranks ? "on" : "off");
-  args.add("prefetch", "software prefetch in the panel kernels: on|off|auto",
-           std::string(knob_mode_name(defaults.prefetch)));
-  args.add("packed-table",
-           "read the packed interleaved weight table in FMA panels: "
-           "on|off|auto",
-           std::string(knob_mode_name(defaults.packed_table)));
   args.add("seed", "RNG seed for the permutation null",
            strprintf("%llu",
                      static_cast<unsigned long long>(defaults.seed)));
@@ -152,19 +147,7 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   config.tile_size = static_cast<std::size_t>(args.get_int("tile"));
   config.team_size = static_cast<int>(args.get_int("team"));
   config.panel_width = static_cast<int>(args.get_int("panel"));
-  const std::string kernel_arg = args.get("kernel");
-  bool matched = false;
-  for (const MiKernel candidate :
-       {MiKernel::Auto, MiKernel::Scalar, MiKernel::Unrolled, MiKernel::Simd,
-        MiKernel::Replicated, MiKernel::Gather512}) {
-    if (kernel_arg == kernel_name(candidate)) {
-      config.kernel = candidate;
-      matched = true;
-      break;
-    }
-  }
-  if (!matched)
-    throw std::invalid_argument("unknown --kernel=" + kernel_arg);
+  config.kernel = parse_kernel(args.get("kernel"));
   const auto parse_knob = [&](const char* name) {
     const std::string value = args.get(name);
     if (value == "auto") return KnobMode::Auto;
@@ -182,9 +165,7 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   };
   config.numa = parse_knob("numa");
   config.hetero = args.get("hetero");
-  config.prefetch = parse_knob("prefetch");
   config.stage_ranks = parse_switch("stage-ranks");
-  config.packed_table = parse_knob("packed-table");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.apply_dpi = args.get_flag("dpi");
   config.dpi_tolerance = args.get_double("dpi-tolerance");

@@ -89,6 +89,13 @@ int main(int argc, char** argv) {
                stdout);
     return 0;
   }
+  const std::string query = args.get("query");
+  const std::string known[] = {"ping",    "mi",      "neighbors", "top",
+                               "subgraph", "metrics", "sweep",     "shutdown"};
+  if (std::find(std::begin(known), std::end(known), query) == std::end(known)) {
+    std::fprintf(stderr, "error: unknown --query=%s\n", query.c_str());
+    return 2;
+  }
 
   try {
     ServeClient client =
@@ -99,7 +106,6 @@ int main(int argc, char** argv) {
             : ServeClient("127.0.0.1",
                           static_cast<int>(args.get_int("port")));
 
-    const std::string query = args.get("query");
     const int repeat = std::max(1, static_cast<int>(args.get_int("repeat")));
     const auto k = static_cast<std::uint32_t>(args.get_int("k"));
     for (int round = 0; round < repeat; ++round) {
@@ -146,12 +152,9 @@ int main(int argc, char** argv) {
               result.pairs, result.edges, result.tiles_resumed, result.tiles,
               result.seconds, result.kernel.c_str(),
               result.estimator.c_str());
-      } else if (query == "shutdown") {
+      } else {  // shutdown
         client.shutdown_server();
         if (last) std::printf("ok\n");
-      } else {
-        std::fprintf(stderr, "error: unknown --query=%s\n", query.c_str());
-        return 2;
       }
     }
   } catch (const std::exception& error) {

@@ -59,12 +59,11 @@ ServeState::ServeState(ExpressionMatrix&& expression,
     TINGE_EXPECTS(filtered.matrix.n_genes() >= 2);
     working_ = std::move(filtered.matrix);
   }
-  ranked_ = RankedMatrix(working_);
-
   const int pool_threads = config_.threads > 0
                                ? config_.threads
                                : par::detect_host_topology().total_threads();
   pool_ = std::make_unique<par::ThreadPool>(pool_threads);
+  ranked_ = RankedMatrix(working_, *pool_, config_.threads);
 
   EstimatorSlot primary;
   primary.statistic = make_pair_statistic(config_, ranked_, &working_);

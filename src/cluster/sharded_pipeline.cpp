@@ -148,7 +148,10 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
     }
     {
       const OptionalSpan rank_span(hooks.trace, "rank");
-      ranked = RankedMatrix(working);
+      // The single-process pipeline ranks on its pool; cluster ranks keep
+      // one thread each, like the rest of their rank-local stages.
+      ranked = p == 1 ? RankedMatrix(working, ensure_pool(), config.threads)
+                      : RankedMatrix(working);
     }
     result.samples = ranked.n_samples();
     if (hooks.log)

@@ -9,6 +9,7 @@
 #include <mutex>
 
 #include "data/tsv_io.h"  // IoError
+#include "mi/bspline_kernels.h"  // kAccumulationOrder
 #include "obs/metrics.h"
 #include "util/contracts.h"
 
@@ -16,12 +17,14 @@ namespace tinge {
 
 namespace {
 constexpr char kMagic[4] = {'T', 'N', 'G', 'C'};
-// Version 2 appended the estimator field to the packed signature. Version 1
-// journals (the pinned-bytes compatibility surface) predate estimator
-// selection: their 40-byte signature loads as estimator 0 — B-spline, the
-// value every pre-estimator journal implicitly carried.
-constexpr std::uint32_t kVersion = 2;
+// Version 2 appended the estimator field to the packed signature, version
+// 3 stores the writing build's kAccumulationOrder in the slot that version
+// 2 kept zero. Version 1 journals (the pinned-bytes compatibility surface)
+// predate estimator selection: their 40-byte signature loads as estimator
+// 0 — B-spline, the value every pre-estimator journal implicitly carried.
+// Versions 1 and 2 load with accumulation 0.
 constexpr std::uint32_t kVersion1 = 1;
+constexpr std::uint32_t kVersion2 = 2;
 
 struct PackedSignatureV1 {
   std::uint64_t n_genes;
@@ -41,14 +44,14 @@ struct PackedSignature {
   std::uint32_t order;
   double threshold;
   std::uint32_t estimator;
-  std::uint32_t reserved;  ///< keeps the struct padding explicit (zeroed)
+  std::uint32_t accumulation;  ///< zero in version 2 journals
 };
 static_assert(sizeof(PackedSignature) == 48);
 
 PackedSignature pack(const RunSignature& s) {
-  return PackedSignature{s.n_genes, s.n_samples, s.tile_size,
-                         s.bins,    s.order,     s.threshold,
-                         s.estimator, 0};
+  return PackedSignature{s.n_genes,   s.n_samples, s.tile_size,
+                         s.bins,      s.order,     s.threshold,
+                         s.estimator, kAccumulationOrder};
 }
 
 RunSignature unpack(const PackedSignature& p) {
@@ -91,7 +94,8 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
     throw IoError("cannot create checkpoint " + path);
   const PackedSignature packed = pack(signature);
   if (std::fwrite(kMagic, 1, sizeof(kMagic), impl_->file) != sizeof(kMagic) ||
-      std::fwrite(&kVersion, sizeof(kVersion), 1, impl_->file) != 1 ||
+      std::fwrite(&kCheckpointVersion, sizeof(kCheckpointVersion), 1,
+                  impl_->file) != 1 ||
       std::fwrite(&packed, sizeof(packed), 1, impl_->file) != 1) {
     std::fclose(impl_->file);
     impl_->file = nullptr;
@@ -161,7 +165,7 @@ CheckpointState load_checkpoint(const std::string& path) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
     fail("not a TNGC checkpoint");
   if (std::fread(&version, sizeof(version), 1, file) != 1 ||
-      (version != kVersion && version != kVersion1))
+      version < kVersion1 || version > kCheckpointVersion)
     fail("unsupported checkpoint version");
   if (version == kVersion1) {
     PackedSignatureV1 v1{};
@@ -173,8 +177,11 @@ CheckpointState load_checkpoint(const std::string& path) {
   } else if (std::fread(&packed, sizeof(packed), 1, file) != 1) {
     fail("truncated checkpoint header");
   }
+  if (version == kVersion2) packed.accumulation = 0;
 
   CheckpointState state;
+  state.version = version;
+  state.accumulation = packed.accumulation;
   state.signature = unpack(packed);
   std::vector<bool> seen_tile;
   while (true) {

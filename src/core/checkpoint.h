@@ -5,7 +5,7 @@
 // paper's cluster-replacing pitch invites. The engine can therefore journal
 // completed tiles to an append-only checkpoint file and resume from it:
 //
-//   header:  magic "TNGC" | u32 version | RunSignature
+//   header:  magic "TNGC" | u32 version | RunSignature | u32 accumulation
 //   records: u64 tile_index | u32 edge_count | edges (u32,u32,f32)...
 //
 // Records are appended under a writer lock as tiles finish, so after a
@@ -22,6 +22,10 @@
 #include "graph/network.h"
 
 namespace tinge {
+
+/// Journal format written by CheckpointWriter. Version 3 added the
+/// B-spline accumulation-order id; versions 1 and 2 still load.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Identifies a run; a checkpoint loads only into an identical run.
 struct RunSignature {
@@ -74,6 +78,11 @@ struct TileRecord {
 
 /// Result of loading a checkpoint file.
 struct CheckpointState {
+  std::uint32_t version = 0;  ///< journal format version of the file
+  /// kAccumulationOrder of the build that wrote the journal: the float
+  /// order of its B-spline values. 0 for version 1 and 2 journals, whose
+  /// B-spline values came from the sample-order kernels that preceded it.
+  std::uint32_t accumulation = 0;
   RunSignature signature;
   std::vector<TileRecord> records;  ///< whole records, duplicates removed
   bool tail_truncated = false;      ///< a torn final record was discarded

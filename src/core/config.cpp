@@ -1,6 +1,7 @@
 #include "core/config.h"
 
 #include <cstdlib>
+#include <stdexcept>
 
 #include "util/contracts.h"
 #include "util/str.h"
@@ -34,21 +35,12 @@ std::vector<LaneSpec> parse_lane_specs(const std::string& spec) {
     }
     LaneSpec lane;
     const std::string kernel = entry.substr(0, colon);
-    bool matched = false;
-    for (const MiKernel candidate :
-         {MiKernel::Auto, MiKernel::Scalar, MiKernel::Unrolled, MiKernel::Simd,
-          MiKernel::Replicated, MiKernel::Gather512}) {
-      if (kernel == kernel_name(candidate)) {
-        lane.kernel = candidate;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      throw ContractViolation(strprintf(
-          "--hetero=%s: unknown kernel '%s' (expected "
-          "auto|scalar|unrolled|simd|replicated|gather512)",
-          spec.c_str(), kernel.c_str()));
+    try {
+      lane.kernel = parse_kernel(kernel);
+    } catch (const std::invalid_argument&) {
+      throw ContractViolation(
+          strprintf("--hetero=%s: unknown kernel '%s' (expected %s)",
+                    spec.c_str(), kernel.c_str(), kernel_names()));
     }
     char* parsed_end = nullptr;
     const std::string count = entry.substr(colon + 1);

@@ -61,27 +61,17 @@ struct TingeConfig {
   int team_size = 1;
 
   /// Panel width B for the row-reuse MI kernel: each tile row is swept as
-  /// batches of B column genes sharing the row gene's table lookups.
+  /// batches of B column genes sharing the row gene's sorted sample order
+  /// and weight broadcasts.
   /// 0 = auto (largest B <= kMaxPanelWidth whose histograms fit the panel
   /// cache budget, see auto_panel_width).
   int panel_width = 0;
 
-  // --- memory-side knobs (all bit-identical; see bspline_kernels.h) ------
+  // --- memory-side knobs (all bit-identical) -----------------------------
   /// Stage rank rows as uint16 for the O(n^2) sweep when m <= 65536,
   /// halving the streamed rank bytes. Falls back to uint32 transparently
   /// for larger m.
   bool stage_ranks = true;
-
-  /// FMA panel kernels read the packed interleaved [weights | first_bin]
-  /// table rows instead of the two classic arrays. Auto = one-shot
-  /// microbenchmark per process (see packed_pays_measured); the flag is a
-  /// no-op outside the Simd panel kernels.
-  KnobMode packed_table = KnobMode::Auto;
-
-  /// Software prefetch of upcoming samples' table rows in the panel
-  /// kernels. Auto = one-shot microbenchmark per process (see
-  /// prefetch_pays_measured).
-  KnobMode prefetch = KnobMode::Auto;
 
   /// NUMA-aware tile scheduling: partition rank rows across memory nodes by
   /// first touch and have each node's threads prefer tiles whose row genes

@@ -59,8 +59,8 @@ PairStatistic::~PairStatistic() = default;
 
 PanelPlan PairStatistic::plan(const TingeConfig& /*config*/) const {
   // Width-1 scalar panels: the executor's panel loop degenerates to one
-  // eval_pair per pair. Only B-spline overrides with measured SIMD panels.
-  return PanelPlan{MiKernel::Scalar, 1, name(), false, false, name()};
+  // eval_pair per pair. Only B-spline overrides with SIMD panels.
+  return PanelPlan{MiKernel::Scalar, 1, name(), name()};
 }
 
 std::unique_ptr<PairScratch> PairStatistic::make_scratch() const {
@@ -70,7 +70,7 @@ std::unique_ptr<PairScratch> PairStatistic::make_scratch() const {
 void PairStatistic::eval_panel(const std::uint32_t* x,
                                const std::uint32_t* const* ys,
                                std::size_t width, std::size_t i,
-                               std::size_t j0, const PanelOptions& /*options*/,
+                               std::size_t j0, MiKernel /*kernel*/,
                                PairScratch& scratch, double* out) const {
   for (std::size_t p = 0; p < width; ++p)
     out[p] = eval_pair(x, ys[p], i, j0 + p, scratch);
@@ -79,7 +79,7 @@ void PairStatistic::eval_panel(const std::uint32_t* x,
 void PairStatistic::eval_panel(const std::uint16_t* x,
                                const std::uint16_t* const* ys,
                                std::size_t width, std::size_t i,
-                               std::size_t j0, const PanelOptions& /*options*/,
+                               std::size_t j0, MiKernel /*kernel*/,
                                PairScratch& scratch, double* out) const {
   const std::size_t m = n_samples();
   scratch.wide_x.resize(m);
@@ -128,19 +128,19 @@ double BsplineStat::eval_pair(const std::uint32_t* x, const std::uint32_t* y,
 void BsplineStat::eval_panel(const std::uint32_t* x,
                              const std::uint32_t* const* ys, std::size_t width,
                              std::size_t /*i*/, std::size_t /*j0*/,
-                             const PanelOptions& options, PairScratch& scratch,
+                             MiKernel kernel, PairScratch& scratch,
                              double* out) const {
   mi_->mi_panel(x, ys, width, static_cast<BsplineScratch&>(scratch).hist,
-                options, out);
+                kernel, out);
 }
 
 void BsplineStat::eval_panel(const std::uint16_t* x,
                              const std::uint16_t* const* ys, std::size_t width,
                              std::size_t /*i*/, std::size_t /*j0*/,
-                             const PanelOptions& options, PairScratch& scratch,
+                             MiKernel kernel, PairScratch& scratch,
                              double* out) const {
   mi_->mi_panel(x, ys, width, static_cast<BsplineScratch&>(scratch).hist,
-                options, out);
+                kernel, out);
 }
 
 double BsplineStat::eval_null_pair(const std::uint32_t* x,

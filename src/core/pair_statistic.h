@@ -37,17 +37,14 @@ class ExpressionMatrix;
 
 // --- kernel plan ------------------------------------------------------------
 
-/// Kernel, panel width and memory-side policies resolved once per pass,
-/// before the parallel region: config Auto goes through the one-shot
-/// microbenchmarks (core/sweep.cpp), and the stats report the variant that
-/// actually ran. Non-B-spline statistics plan width-1 scalar panels — the
-/// generic fallback loops pairs, so only B-spline needs SIMD panels.
+/// Kernel and panel width resolved once per pass, before the parallel
+/// region; the stats report the kernel that actually ran. Non-B-spline
+/// statistics plan width-1 scalar panels — the generic fallback loops
+/// pairs, so only B-spline needs SIMD panels.
 struct PanelPlan {
   MiKernel kernel;   ///< concrete kernel handed to every panel sweep
   int width;         ///< panel width B (1..kMaxPanelWidth)
-  const char* name;  ///< resolved variant name for EngineStats
-  bool prefetch = false;  ///< software prefetch in the panel kernels
-  bool packed = false;    ///< FMA panels read the packed table rows
+  const char* name;  ///< resolved kernel name for EngineStats
   const char* stat_name = "bspline";  ///< estimator name for stats/metrics
 };
 
@@ -80,8 +77,8 @@ class PairStatistic {
   virtual double marginal_entropy() const { return 0.0; }
 
   /// Resolves the per-pass panel plan. The default is the scalar width-1
-  /// plan that drives the generic fallback; B-spline overrides with the
-  /// measured kernel/width/knob resolution.
+  /// plan that drives the generic fallback; B-spline overrides with its
+  /// kernel and panel width.
   virtual PanelPlan plan(const TingeConfig& config) const;
 
   virtual std::unique_ptr<PairScratch> make_scratch() const;
@@ -93,12 +90,12 @@ class PairStatistic {
                            PairScratch& scratch) const = 0;
 
   /// Panel evaluation: out[p] = score(gene i, gene j0+p) for p < width.
-  /// The default loops eval_pair; B-spline overrides with the SIMD panel
-  /// kernels. Must be bit-identical to per-pair eval_pair calls.
+  /// The default loops eval_pair; B-spline overrides with the panel
+  /// kernel. Must be bit-identical to per-pair eval_pair calls.
   virtual void eval_panel(const std::uint32_t* x,
                           const std::uint32_t* const* ys, std::size_t width,
                           std::size_t i, std::size_t j0,
-                          const PanelOptions& options, PairScratch& scratch,
+                          MiKernel kernel, PairScratch& scratch,
                           double* out) const;
 
   /// Staged (uint16) variant. The default widens into the scratch staging
@@ -107,7 +104,7 @@ class PairStatistic {
   virtual void eval_panel(const std::uint16_t* x,
                           const std::uint16_t* const* ys, std::size_t width,
                           std::size_t i, std::size_t j0,
-                          const PanelOptions& options, PairScratch& scratch,
+                          MiKernel kernel, PairScratch& scratch,
                           double* out) const;
 
   /// Scores one permutation-null draw: x and y are two independent random
@@ -134,9 +131,9 @@ class PairStatistic {
 
 /// B-spline MI as a PairStatistic. Wraps a BsplineMi either by reference
 /// (caller keeps it alive — engine/test call sites) or by value (the
-/// factory and the cluster broadcast path). `kernel` is the point-eval
-/// kernel used outside planned panels (null draws, per-pair calls); panel
-/// sweeps take theirs from the PanelPlan, exactly as before the redesign.
+/// factory and the cluster broadcast path). `kernel` is the kernel of
+/// per-pair calls and null draws (width-1 panels); panel sweeps take theirs
+/// from the PanelPlan. Both kernels give the same bits.
 class BsplineStat final : public PairStatistic {
  public:
   explicit BsplineStat(const BsplineMi& mi, MiKernel kernel = MiKernel::Auto)
@@ -158,11 +155,11 @@ class BsplineStat final : public PairStatistic {
                    PairScratch& scratch) const override;
   void eval_panel(const std::uint32_t* x, const std::uint32_t* const* ys,
                   std::size_t width, std::size_t i, std::size_t j0,
-                  const PanelOptions& options, PairScratch& scratch,
+                  MiKernel kernel, PairScratch& scratch,
                   double* out) const override;
   void eval_panel(const std::uint16_t* x, const std::uint16_t* const* ys,
                   std::size_t width, std::size_t i, std::size_t j0,
-                  const PanelOptions& options, PairScratch& scratch,
+                  MiKernel kernel, PairScratch& scratch,
                   double* out) const override;
   double eval_null_pair(const std::uint32_t* x, const std::uint32_t* y,
                         PairScratch& scratch) const override;

@@ -46,8 +46,6 @@ obs::Json config_to_json(const TingeConfig& config) {
   json["schedule"] = obs::Json(std::string(par::schedule_name(config.schedule)));
   json["panel_width"] = obs::Json(config.panel_width);
   json["stage_ranks"] = obs::Json(config.stage_ranks);
-  json["packed_table"] = obs::Json(std::string(knob_mode_name(config.packed_table)));
-  json["prefetch"] = obs::Json(std::string(knob_mode_name(config.prefetch)));
   json["numa"] = obs::Json(std::string(knob_mode_name(config.numa)));
   json["hetero"] = obs::Json(config.hetero);
   json["seed"] = obs::Json(config.seed);

@@ -40,36 +40,8 @@ PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config) {
   const int width = config.panel_width > 0
                         ? std::min(config.panel_width, kMaxPanelWidth)
                         : auto_panel_width(table);
-  const MiKernel kernel = resolve_kernel_measured(config.kernel, table, width);
-  PanelPlan plan{kernel, width,
-                 kernel_name(resolve_panel_kernel(kernel, table.order()))};
-  switch (config.packed_table) {
-    case KnobMode::On:
-      plan.packed = true;
-      break;
-    case KnobMode::Off:
-      plan.packed = false;
-      break;
-    case KnobMode::Auto: {
-      const PanelOptions base{kernel, false, false};
-      plan.packed = packed_pays_measured(table, base, width);
-      break;
-    }
-  }
-  switch (config.prefetch) {
-    case KnobMode::On:
-      plan.prefetch = true;
-      break;
-    case KnobMode::Off:
-      plan.prefetch = false;
-      break;
-    case KnobMode::Auto: {
-      PanelOptions base{kernel, false, plan.packed};
-      plan.prefetch = prefetch_pays_measured(table, base, width);
-      break;
-    }
-  }
-  return plan;
+  const MiKernel kernel = resolve_kernel(config.kernel, table.bins());
+  return PanelPlan{kernel, width, kernel_name(kernel)};
 }
 
 LaneLedger::LaneLedger(const SweepPlan& plan, std::size_t n_lanes,
@@ -310,37 +282,45 @@ ResumeState load_resume_state(const std::string& path,
                               const SweepPlan& plan) {
   ResumeState resume;
   resume.done.assign(plan.count(), 0);
-  if (!checkpoint_matches(path, signature)) {
+  CheckpointState state;
+  try {
+    state = load_checkpoint(path);
+  } catch (const IoError&) {
+    return resume;  // absent/corrupt/old-format: plain fresh start
+  }
+  if (!(state.signature == signature)) {
     // A journal that matches in every dimension *except* the estimator is
     // not a stale leftover — it is the same run asked to continue under a
     // different statistic, whose scores are incomparable with the
     // journaled edges. Fail loudly instead of quietly starting over.
-    CheckpointState mismatched;
-    bool readable = true;
-    try {
-      mismatched = load_checkpoint(path);
-    } catch (const IoError&) {
-      readable = false;  // absent/corrupt/old-format: plain fresh start
-    }
-    if (readable) {
-      RunSignature rebased = mismatched.signature;
-      rebased.estimator = signature.estimator;
-      if (rebased == signature && mismatched.signature.estimator !=
-                                      signature.estimator) {
-        throw ContractViolation(strprintf(
-            "checkpoint %s was journaled with estimator '%s' but this run "
-            "uses '%s'; remove the journal or rerun with --estimator=%s",
-            path.c_str(),
-            estimator_name(
-                static_cast<EstimatorKind>(mismatched.signature.estimator)),
-            estimator_name(static_cast<EstimatorKind>(signature.estimator)),
-            estimator_name(
-                static_cast<EstimatorKind>(mismatched.signature.estimator))));
-      }
+    RunSignature rebased = state.signature;
+    rebased.estimator = signature.estimator;
+    if (rebased == signature) {
+      throw ContractViolation(strprintf(
+          "checkpoint %s was journaled with estimator '%s' but this run "
+          "uses '%s'; remove the journal or rerun with --estimator=%s",
+          path.c_str(),
+          estimator_name(static_cast<EstimatorKind>(state.signature.estimator)),
+          estimator_name(static_cast<EstimatorKind>(signature.estimator)),
+          estimator_name(
+              static_cast<EstimatorKind>(state.signature.estimator))));
     }
     return resume;
   }
-  CheckpointState state = load_checkpoint(path);
+  // Likewise a B-spline journal of this very run whose values came from
+  // another float accumulation order (every version 1 and 2 journal):
+  // resuming it would mix two arithmetics in one network.
+  const auto bspline = static_cast<std::uint32_t>(EstimatorKind::Bspline);
+  if (signature.estimator == bspline &&
+      state.accumulation != kAccumulationOrder) {
+    throw ContractViolation(strprintf(
+        "checkpoint %s is a version %u journal of B-spline values in "
+        "accumulation order %u; this build writes version %u journals in "
+        "order %u, whose values differ in the last bits. Remove the journal "
+        "and rerun",
+        path.c_str(), state.version, state.accumulation, kCheckpointVersion,
+        kAccumulationOrder));
+  }
   for (TileRecord& record : state.records) {
     const auto index = static_cast<std::size_t>(record.tile_index);
     if (index < plan.count() && !resume.done[index]) {

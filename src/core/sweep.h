@@ -102,12 +102,12 @@ class SweepPlan {
 // --- kernel plan ------------------------------------------------------------
 //
 // PanelPlan itself lives in core/pair_statistic.h (each statistic resolves
-// its own plan); the measured B-spline resolution stays here.
+// its own plan); the B-spline resolution stays here.
 
-/// Resolves kernel, panel width and memory-side knobs for a B-spline pass:
-/// config Auto goes through the one-shot microbenchmarks here (not in the
-/// hot loop), and the stats report the variant that actually ran. This is
-/// what BsplineStat::plan delegates to.
+/// Resolves kernel and panel width for a B-spline pass (statically: Auto is
+/// the vector kernel wherever it can run), and names the kernel that
+/// actually runs for the stats. This is what BsplineStat::plan delegates
+/// to.
 PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config);
 
 // --- scheduler --------------------------------------------------------------
@@ -462,7 +462,12 @@ struct ResumeState {
 /// — except when the journal differs from `signature` *only* in the
 /// estimator, which is almost certainly an operator error (same data, same
 /// tiling, wrong --estimator): that throws ContractViolation naming both
-/// estimators instead of silently recomputing.
+/// estimators instead of silently recomputing. A matching B-spline journal
+/// written in another accumulation order (journal versions 1 and 2) also
+/// throws, naming both journal versions: its values would differ in the
+/// last bits from the ones this build computes. The engine's checkpointed
+/// pass, the cluster lease sweep and the daemon's journal restore all
+/// resume through here.
 ResumeState load_resume_state(const std::string& path,
                               const RunSignature& signature,
                               const SweepPlan& plan);
@@ -502,7 +507,6 @@ void sweep_tile(const PairStatistic& estimator, RowSource& row,
   // resolution on eval_panel picks the matching variant.
   using RankT = std::remove_cv_t<
       std::remove_pointer_t<decltype(row(std::size_t{0}))>>;
-  const PanelOptions options{plan.kernel, plan.prefetch, plan.packed};
   const RankT* ry[kMaxPanelWidth];
   double mi[kMaxPanelWidth];
   std::size_t panel_index = 0;
@@ -511,7 +515,7 @@ void sweep_tile(const PairStatistic& estimator, RowSource& row,
       [&](std::size_t i, std::size_t j0, std::size_t width) {
         if (stride > 1 && panel_index++ % stride != phase) return;
         for (std::size_t p = 0; p < width; ++p) ry[p] = row(j0 + p);
-        estimator.eval_panel(row(i), ry, width, i, j0, options, scratch, mi);
+        estimator.eval_panel(row(i), ry, width, i, j0, plan.kernel, scratch, mi);
         ++counters.panels;
         counters.pairs += width;
         for (std::size_t p = 0; p < width; ++p) sink.pair(tid, i, j0 + p, mi[p]);

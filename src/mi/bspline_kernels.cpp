@@ -1,462 +1,274 @@
 #include "mi/bspline_kernels.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <mutex>
-#include <tuple>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "simd/math.h"
 #include "simd/simd.h"
-#include "stats/rng.h"
 #include "util/contracts.h"
-#include "util/timer.h"
+
+// The vector kernel's bits equal the scalar reference's only if its
+// multiply-adds are fused; builds without FMA run the reference instead.
+#if defined(__AVX512F__) || defined(__FMA__)
+#define TINGE_VECTOR_KERNEL 1
+#else
+#define TINGE_VECTOR_KERNEL 0
+#endif
 
 namespace tinge {
 
 namespace {
 
 // --------------------------------------------------------------------------
-// Accumulation variants. Each clears exactly the histogram region it uses.
+// The row gene's sorted order (step 1 of the canonical order), memoized in
+// the scratch: rebuilt only when a call passes a different rank row or
+// table, so a tile row's panels sort their row gene once.
 // --------------------------------------------------------------------------
 
-void accumulate_scalar(const WeightTable& table, const std::uint32_t* rx,
-                       const std::uint32_t* ry, std::size_t m, float* hist,
-                       std::size_t hist_stride) {
+template <typename RankT>
+const RowOrderMemo& row_order(const WeightTable& table, const RankT* rx,
+                              std::size_t m, JointHistogram& scratch) {
+  RowOrderMemo& memo = scratch.row_order();
+  const std::size_t key_bytes = m * sizeof(RankT);
+  if (memo.table == table.weights_data() && memo.bins == table.bins() &&
+      memo.order == table.order() && memo.key.size() == key_bytes &&
+      std::memcmp(memo.key.data(), rx, key_bytes) == 0)
+    return memo;
+
+  const std::int32_t* first_bin = table.first_bin_data();
+  const std::size_t groups =
+      static_cast<std::size_t>(table.bins() - table.order() + 1);
+  memo.table = table.weights_data();
+  memo.bins = table.bins();
+  memo.order = table.order();
+  memo.key.resize(key_bytes);
+  std::memcpy(memo.key.data(), rx, key_bytes);
+  // Counting sort: begin[g + 1] counts group g, the prefix sum makes
+  // begin[g] group g's start, the scatter advances it to group g + 1's
+  // start, and the final shift restores the starts.
+  std::vector<std::uint32_t>& begin = memo.group_begin;
+  begin.assign(groups + 1, 0);
+  for (std::size_t s = 0; s < m; ++s)
+    ++begin[static_cast<std::size_t>(first_bin[rx[s]]) + 1];
+  for (std::size_t g = 0; g < groups; ++g) begin[g + 1] += begin[g];
+  memo.sample.resize(m);
+  memo.rank.resize(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    const std::uint32_t r = rx[s];
+    const std::uint32_t t = begin[static_cast<std::size_t>(first_bin[r])]++;
+    memo.sample[t] = static_cast<std::uint32_t>(s);
+    memo.rank[t] = r;
+  }
+  for (std::size_t g = groups; g > 0; --g) begin[g] = begin[g - 1];
+  begin[0] = 0;
+  return memo;
+}
+
+// --------------------------------------------------------------------------
+// The scalar reference: the canonical order with std::fma on the nonzero
+// cells. Region p of `hist` (region_cells floats apart) is pair (x, y_p).
+// --------------------------------------------------------------------------
+
+template <typename RankT>
+void accumulate_reference(const WeightTable& table, const RowOrderMemo& order,
+                          const RankT* const* ry, std::size_t width,
+                          float* hist, std::size_t hs,
+                          std::size_t region_cells) {
   const float* weights = table.weights_data();
   const std::int32_t* first_bin = table.first_bin_data();
   const std::size_t ws = table.weight_stride();
   const int k = table.order();
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t rxj = rx[j];
-    const std::uint32_t ryj = ry[j];
-    const float* wx = weights + rxj * ws;
-    const float* wy = weights + ryj * ws;
-    float* base = hist + static_cast<std::size_t>(first_bin[rxj]) * hist_stride +
-                  static_cast<std::size_t>(first_bin[ryj]);
-    for (int a = 0; a < k; ++a) {
-      const float wxa = wx[a];
-      float* row = base + static_cast<std::size_t>(a) * hist_stride;
-      for (int c = 0; c < k; ++c) row[c] += wxa * wy[c];
+  const std::size_t groups = order.group_begin.size() - 1;
+  for (std::size_t p = 0; p < width; ++p) {
+    float* region = hist + p * region_cells;
+    for (std::size_t g = 0; g < groups; ++g) {
+      for (std::uint32_t t = order.group_begin[g]; t < order.group_begin[g + 1];
+           ++t) {
+        const float* wx = weights + std::size_t{order.rank[t]} * ws;
+        const std::size_t ry_s = ry[p][order.sample[t]];
+        const float* wy = weights + ry_s * ws;
+        float* base =
+            region + g * hs + static_cast<std::size_t>(first_bin[ry_s]);
+        for (int a = 0; a < k; ++a) {
+          float* row = base + static_cast<std::size_t>(a) * hs;
+          for (int c = 0; c < k; ++c) row[c] = std::fma(wx[a], wy[c], row[c]);
+        }
+      }
     }
   }
 }
 
-template <int K>
-void accumulate_unrolled(const WeightTable& table, const std::uint32_t* rx,
-                         const std::uint32_t* ry, std::size_t m, float* hist,
-                         std::size_t hist_stride) {
-  const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
+#if TINGE_VECTOR_KERNEL
+
+// --------------------------------------------------------------------------
+// The register-resident vector kernel. K = order, R = vectors per histogram
+// row (expanded row lanes / native width), P = panel members held in
+// registers at once. acc[p][a] is histogram row g + a of member p while
+// group g runs; after the group, row g is final and the window slides.
+// --------------------------------------------------------------------------
+
+using V = simd::NativeF32;
+constexpr int kLanes = V::width;
+constexpr int kVectorRegisters = kLanes == 16 ? 32 : 16;
+
+/// Members whose K x R windows fit the register file next to the K weight
+/// broadcasts and the R y vectors.
+constexpr int members_in_registers(int k, int r) {
+  const int free = kVectorRegisters - k - r - 1;
+  const int members = free / (k * r);
+  return std::clamp(members, 1, kMaxPanelWidth);
+}
+
+template <int K, int R, int P, typename RankT>
+void accumulate_window(const WeightTable& table, const RowOrderMemo& order,
+                       const RankT* const* ry, float* hist, std::size_t hs,
+                       std::size_t region_cells) {
+  const float* expanded = table.expanded_data();
+  const std::size_t es = table.expanded_stride();
   const std::size_t ws = table.weight_stride();
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t rxj = rx[j];
-    const std::uint32_t ryj = ry[j];
-    const float* wx = weights + rxj * ws;
-    const float* wy = weights + ryj * ws;
-    float* base = hist + static_cast<std::size_t>(first_bin[rxj]) * hist_stride +
-                  static_cast<std::size_t>(first_bin[ryj]);
-#pragma GCC unroll 8
-    for (int a = 0; a < K; ++a) {
-      const float wxa = wx[a];
-      float* row = base + static_cast<std::size_t>(a) * hist_stride;
-#pragma GCC unroll 8
-      for (int c = 0; c < K; ++c) row[c] += wxa * wy[c];
-    }
-  }
-}
-
-// One broadcast*vector FMA per histogram row touched; V covers the padded
-// weight row (4 floats for order <= 4, 8 for order <= 8).
-template <typename V>
-void accumulate_simd_impl(const WeightTable& table, const std::uint32_t* rx,
-                          const std::uint32_t* ry, std::size_t m, float* hist,
-                          std::size_t hist_stride, std::size_t replica_offset_mask,
-                          std::size_t replica_cells) {
+  const std::size_t groups = order.group_begin.size() - 1;
   const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t ws = table.weight_stride();
-  const int k = table.order();
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::uint32_t rxj = rx[j];
-    const std::uint32_t ryj = ry[j];
-    const float* wx = weights + rxj * ws;
-    const V wyv = V::loadu(weights + ryj * ws);
-    float* base = hist + (j & replica_offset_mask) * replica_cells +
-                  static_cast<std::size_t>(first_bin[rxj]) * hist_stride +
-                  static_cast<std::size_t>(first_bin[ryj]);
-    for (int a = 0; a < k; ++a) {
-      float* row = base + static_cast<std::size_t>(a) * hist_stride;
-      const V updated = V::fmadd(V::broadcast(wx[a]), wyv, V::loadu(row));
-      updated.storeu(row);
+  const std::uint32_t* sample = order.sample.data();
+  const std::uint32_t* rank = order.rank.data();
+
+  V acc[P][K][R];
+  for (int p = 0; p < P; ++p)
+    for (int a = 0; a < K; ++a)
+      for (int v = 0; v < R; ++v) acc[p][a][v] = V::zero();
+
+  const auto store_row = [&](int p, int a, std::size_t row) {
+    float* dst = hist + static_cast<std::size_t>(p) * region_cells + row * hs;
+    for (int v = 0; v < R; ++v) acc[p][a][v].store(dst + v * kLanes);
+  };
+
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::uint32_t end = order.group_begin[g + 1];
+    for (std::uint32_t t = order.group_begin[g]; t < end; ++t) {
+      const std::size_t s = sample[t];
+      const float* wx = weights + std::size_t{rank[t]} * ws;
+      V wxv[K];
+      for (int a = 0; a < K; ++a) wxv[a] = V::broadcast(wx[a]);
+      for (int p = 0; p < P; ++p) {
+        const float* y = expanded + static_cast<std::size_t>(ry[p][s]) * es;
+        for (int v = 0; v < R; ++v) {
+          const V yv = V::load(y + v * kLanes);
+          for (int a = 0; a < K; ++a)
+            acc[p][a][v] = V::fmadd(wxv[a], yv, acc[p][a][v]);
+        }
+      }
     }
+    for (int p = 0; p < P; ++p) {
+      store_row(p, 0, g);
+      for (int a = 0; a + 1 < K; ++a)
+        for (int v = 0; v < R; ++v) acc[p][a][v] = acc[p][a + 1][v];
+      for (int v = 0; v < R; ++v) acc[p][K - 1][v] = V::zero();
+    }
+  }
+  // Rows groups .. bins-1 never start a group; they sit in the window.
+  for (int p = 0; p < P; ++p)
+    for (int a = 0; a + 1 < K; ++a)
+      store_row(p, a, groups + static_cast<std::size_t>(a));
+}
+
+/// Runs `count` (1..P) members through the window kernel sized for them.
+template <int K, int R, typename RankT, int P = members_in_registers(K, R)>
+void accumulate_members(std::size_t count, const WeightTable& table,
+                        const RowOrderMemo& order, const RankT* const* ry,
+                        float* hist, std::size_t hs, std::size_t region_cells) {
+  if constexpr (P > 1) {
+    if (count < static_cast<std::size_t>(P)) {
+      accumulate_members<K, R, RankT, P - 1>(count, table, order, ry, hist, hs,
+                                             region_cells);
+      return;
+    }
+  }
+  accumulate_window<K, R, P, RankT>(table, order, ry, hist, hs, region_cells);
+}
+
+template <int K, int R, typename RankT>
+void accumulate_vector(const WeightTable& table, const RowOrderMemo& order,
+                       const RankT* const* ry, std::size_t width, float* hist,
+                       std::size_t hs, std::size_t region_cells) {
+  constexpr auto kChunk = static_cast<std::size_t>(members_in_registers(K, R));
+  for (std::size_t p0 = 0; p0 < width; p0 += kChunk) {
+    accumulate_members<K, R, RankT>(std::min(kChunk, width - p0), table, order,
+                                    ry + p0, hist + p0 * region_cells, hs,
+                                    region_cells);
   }
 }
 
-template <typename V>
-void accumulate_simd(const WeightTable& table, const std::uint32_t* rx,
-                     const std::uint32_t* ry, std::size_t m, float* hist,
-                     std::size_t hist_stride) {
-  accumulate_simd_impl<V>(table, rx, ry, m, hist, hist_stride,
-                          /*replica_offset_mask=*/0, /*replica_cells=*/0);
-}
-
-void merge_replicas(float* hist, std::size_t replica_cells);
-
-template <typename V>
-void accumulate_replicated(const WeightTable& table, const std::uint32_t* rx,
-                           const std::uint32_t* ry, std::size_t m, float* hist,
-                           std::size_t hist_stride) {
-  const std::size_t replica_cells =
-      static_cast<std::size_t>(table.bins()) * hist_stride;
-  accumulate_simd_impl<V>(table, rx, ry, m, hist, hist_stride,
-                          /*replica_offset_mask=*/kHistogramReplicas - 1,
-                          replica_cells);
-  // replica_cells is a multiple of the histogram row stride, which is a
-  // multiple of 16 floats — safe for full-width aligned steps.
-  merge_replicas(hist, replica_cells);
-}
-
-#if defined(__AVX512F__)
-// Four samples per iteration, one 512-bit gather/FMA/scatter triple per row
-// offset. Sample g of a group owns replica g; the 16 scattered addresses of
-// an iteration are therefore pairwise distinct by construction. Requires
-// order <= 4 (weight rows padded to 4 floats).
-void accumulate_gather512(const WeightTable& table, const std::uint32_t* rx,
-                          const std::uint32_t* ry, std::size_t m, float* hist,
-                          std::size_t hist_stride) {
-  const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t ws = table.weight_stride();
-  const int k = table.order();
-  TINGE_EXPECTS(k <= 4);
-  TINGE_EXPECTS(ws == 4);
-  const auto replica_cells =
-      static_cast<std::int32_t>(static_cast<std::size_t>(table.bins()) *
-                                hist_stride);
-  const auto stride_i32 = static_cast<std::int32_t>(hist_stride);
-
-  // lane -> group id (0,0,0,0,1,1,1,1,...) for broadcasting per-sample
-  // scalars into their lane group.
-  const __m512i group_of_lane = _mm512_set_epi32(3, 3, 3, 3, 2, 2, 2, 2,
-                                                 1, 1, 1, 1, 0, 0, 0, 0);
-  // lane -> column offset within the weight row (0,1,2,3 repeating).
-  const __m512i column_of_lane = _mm512_set_epi32(3, 2, 1, 0, 3, 2, 1, 0,
-                                                  3, 2, 1, 0, 3, 2, 1, 0);
-  const __m512i replica_base = _mm512_mullo_epi32(
-      group_of_lane, _mm512_set1_epi32(replica_cells));
-
-  const std::size_t groups = m / 4;
-  for (std::size_t gi = 0; gi < groups; ++gi) {
-    const std::size_t j = gi * 4;
-    // Per-group scalars packed into the low 4 lanes, then spread by group.
-    alignas(16) std::int32_t base4[4];
-    alignas(64) float wy_rows[16];
-    const float* wx_rows[4];
-    for (int g = 0; g < 4; ++g) {
-      const std::uint32_t rxg = rx[j + static_cast<std::size_t>(g)];
-      const std::uint32_t ryg = ry[j + static_cast<std::size_t>(g)];
-      base4[g] = first_bin[rxg] * stride_i32 + first_bin[ryg];
-      const float* wy = weights + ryg * ws;
-      for (int c = 0; c < 4; ++c) wy_rows[g * 4 + c] = wy[c];
-      wx_rows[g] = weights + rxg * ws;
-    }
-    const __m512i base = _mm512_add_epi32(
-        _mm512_add_epi32(
-            _mm512_permutexvar_epi32(
-                group_of_lane,
-                _mm512_castsi128_si512(_mm_load_si128(
-                    reinterpret_cast<const __m128i*>(base4)))),
-            column_of_lane),
-        replica_base);
-    const __m512 wy_vec = _mm512_load_ps(wy_rows);
-
-    for (int a = 0; a < k; ++a) {
-      // wx[a] of each sample broadcast into its lane group.
-      alignas(16) float wx4[4] = {wx_rows[0][a], wx_rows[1][a],
-                                  wx_rows[2][a], wx_rows[3][a]};
-      const __m512 wx_vec = _mm512_permutexvar_ps(
-          group_of_lane, _mm512_castps128_ps512(_mm_load_ps(wx4)));
-      const __m512i indices =
-          _mm512_add_epi32(base, _mm512_set1_epi32(a * stride_i32));
-      const __m512 patch = _mm512_i32gather_ps(indices, hist, 4);
-      const __m512 updated = _mm512_fmadd_ps(wx_vec, wy_vec, patch);
-      _mm512_i32scatter_ps(hist, indices, updated, 4);
-    }
-  }
-
-  // Tail samples take the 128-bit replicated path (replica j & 3).
-  const std::size_t tail_begin = groups * 4;
-  for (std::size_t j = tail_begin; j < m; ++j) {
-    const std::uint32_t rxj = rx[j];
-    const std::uint32_t ryj = ry[j];
-    const float* wx = weights + rxj * ws;
-    const simd::F32x4 wyv = simd::F32x4::loadu(weights + ryj * ws);
-    float* base_ptr = hist +
-                      (j & 3) * static_cast<std::size_t>(replica_cells) +
-                      static_cast<std::size_t>(first_bin[rxj]) * hist_stride +
-                      static_cast<std::size_t>(first_bin[ryj]);
-    for (int a = 0; a < k; ++a) {
-      float* row = base_ptr + static_cast<std::size_t>(a) * hist_stride;
-      simd::F32x4::fmadd(simd::F32x4::broadcast(wx[a]), wyv,
-                         simd::F32x4::loadu(row))
-          .storeu(row);
-    }
+template <int R, typename RankT>
+void accumulate_vector_order(const WeightTable& table,
+                             const RowOrderMemo& order, const RankT* const* ry,
+                             std::size_t width, float* hist, std::size_t hs,
+                             std::size_t region_cells) {
+  switch (table.order()) {
+    case 1: accumulate_vector<1, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 2: accumulate_vector<2, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 3: accumulate_vector<3, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 4: accumulate_vector<4, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 5: accumulate_vector<5, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 6: accumulate_vector<6, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 7: accumulate_vector<7, R>(table, order, ry, width, hist, hs, region_cells); break;
+    case 8: accumulate_vector<8, R>(table, order, ry, width, hist, hs, region_cells); break;
+    default: TINGE_ASSERT(false);  // resolve_kernel routes these to Scalar
   }
 }
-#endif  // __AVX512F__
 
-// Reduce the replicas into replica 0 and zero the rest (shared by the
-// Replicated and Gather512 kernels).
-void merge_replicas(float* hist, std::size_t replica_cells) {
-  using W = simd::NativeF32;
-  constexpr std::size_t lanes = static_cast<std::size_t>(W::width);
-  const W zero = W::zero();
-  for (std::size_t i = 0; i < replica_cells; i += lanes) {
-    W acc = W::load(hist + i);
-    for (int r = 1; r < kHistogramReplicas; ++r) {
-      float* replica = hist + static_cast<std::size_t>(r) * replica_cells + i;
-      acc = acc + W::load(replica);
-      zero.store(replica);
-    }
-    acc.store(hist + i);
+template <typename RankT>
+void accumulate_simd(const WeightTable& table, const RowOrderMemo& order,
+                     const RankT* const* ry, std::size_t width, float* hist,
+                     std::size_t hs, std::size_t region_cells) {
+  static_assert(16 % kLanes == 0);
+  TINGE_EXPECTS(hs >= table.expanded_stride());
+  if (table.expanded_stride() == 16) {
+    accumulate_vector_order<16 / kLanes>(table, order, ry, width, hist, hs,
+                                         region_cells);
+  } else {
+    accumulate_vector_order<32 / kLanes>(table, order, ry, width, hist, hs,
+                                         region_cells);
   }
 }
+
+#endif  // TINGE_VECTOR_KERNEL
 
 double entropy_from_region(const float* cells, std::size_t count, std::size_t m) {
   const double neg_sum = simd::entropy_sum(cells, count);
   return neg_sum / static_cast<double>(m) + std::log(static_cast<double>(m));
 }
 
-// --------------------------------------------------------------------------
-// Panel accumulation: one row gene against `width` column genes, one sweep
-// over the m samples. Region p of `hist` (region_cells floats apart) is the
-// joint histogram of pair (x, y_p). For a fixed region every variant issues
-// the per-pair kernel's float operations in the same order, so the panel is
-// bit-identical to the per-pair path; only the rx-side table lookups and the
-// histogram clears are shared across the panel.
-//
-// All panel variants are templated on the rank element type RankT (uint32
-// classic, uint16 staged) — the index arithmetic is identical, only the
-// bytes streamed per sample halve. The scalar/FMA/gather512 ladder
-// additionally takes a Prefetch flag (table-row prefetches for sample
-// j + kPrefetchDistance: the rank streams are sequential and hardware-
-// prefetched, but the rank-indexed table rows are not), and the FMA ladder
-// a Packed flag (read the interleaved [weights | first_bin] rows).
-// --------------------------------------------------------------------------
+template <typename RankT>
+void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
+                              const RankT* const* ry, std::size_t width,
+                              std::size_t m, JointHistogram& scratch,
+                              MiKernel kernel, double* h_out) {
+  TINGE_EXPECTS(width >= 1);
+  TINGE_EXPECTS(width <= static_cast<std::size_t>(kMaxPanelWidth));
+  TINGE_EXPECTS(m == table.n_samples());
+  TINGE_EXPECTS(scratch.bins() >= table.bins());
+  TINGE_EXPECTS(scratch.replicas() >= static_cast<int>(width));
+  const std::size_t hs = scratch.stride();
+  float* hist = scratch.data();
+  const std::size_t region_cells = static_cast<std::size_t>(table.bins()) * hs;
+  const RowOrderMemo& order = row_order(table, rx, m, scratch);
 
-inline void prefetch_read(const void* p) { __builtin_prefetch(p, 0, 3); }
-
-template <typename RankT, bool Prefetch>
-void panel_accumulate_scalar(const WeightTable& table, const RankT* rx,
-                             const RankT* const* ry, std::size_t width,
-                             std::size_t m, float* hist,
-                             std::size_t hist_stride,
-                             std::size_t region_cells) {
-  const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t ws = table.weight_stride();
-  const int k = table.order();
-  for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(weights + static_cast<std::size_t>(rx[jn]) * ws);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(weights + static_cast<std::size_t>(ry[p][jn]) * ws);
-      }
-    }
-    const std::size_t rxj = rx[j];
-    const float* wx = weights + rxj * ws;
-    const std::size_t x_base =
-        static_cast<std::size_t>(first_bin[rxj]) * hist_stride;
-    for (std::size_t p = 0; p < width; ++p) {
-      const std::size_t ryj = ry[p][j];
-      const float* wy = weights + ryj * ws;
-      float* base = hist + p * region_cells + x_base +
-                    static_cast<std::size_t>(first_bin[ryj]);
-      for (int a = 0; a < k; ++a) {
-        const float wxa = wx[a];
-        float* row = base + static_cast<std::size_t>(a) * hist_stride;
-        for (int c = 0; c < k; ++c) row[c] += wxa * wy[c];
-      }
-    }
+  // Every region is rewritten from zero: the reference accumulates in
+  // place, and the vector kernel stores only the expanded columns.
+  std::memset(hist, 0, width * region_cells * sizeof(float));
+  if (resolve_kernel(kernel, table.bins()) == MiKernel::Simd) {
+#if TINGE_VECTOR_KERNEL
+    accumulate_simd(table, order, ry, width, hist, hs, region_cells);
+#endif
+  } else {
+    accumulate_reference(table, order, ry, width, hist, hs, region_cells);
   }
+
+  for (std::size_t p = 0; p < width; ++p)
+    h_out[p] = entropy_from_region(hist + p * region_cells, region_cells, m);
 }
-
-template <int K, typename RankT>
-void panel_accumulate_unrolled(const WeightTable& table, const RankT* rx,
-                               const RankT* const* ry, std::size_t width,
-                               std::size_t m, float* hist,
-                               std::size_t hist_stride,
-                               std::size_t region_cells) {
-  const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t ws = table.weight_stride();
-  for (std::size_t j = 0; j < m; ++j) {
-    const std::size_t rxj = rx[j];
-    const float* wx = weights + rxj * ws;
-    const std::size_t x_base =
-        static_cast<std::size_t>(first_bin[rxj]) * hist_stride;
-    for (std::size_t p = 0; p < width; ++p) {
-      const std::size_t ryj = ry[p][j];
-      const float* wy = weights + ryj * ws;
-      float* base = hist + p * region_cells + x_base +
-                    static_cast<std::size_t>(first_bin[ryj]);
-#pragma GCC unroll 8
-      for (int a = 0; a < K; ++a) {
-        const float wxa = wx[a];
-        float* row = base + static_cast<std::size_t>(a) * hist_stride;
-#pragma GCC unroll 8
-        for (int c = 0; c < K; ++c) row[c] += wxa * wy[c];
-      }
-    }
-  }
-}
-
-template <typename V, typename RankT, bool Packed, bool Prefetch>
-void panel_accumulate_simd(const WeightTable& table, const RankT* rx,
-                           const RankT* const* ry, std::size_t width,
-                           std::size_t m, float* hist, std::size_t hist_stride,
-                           std::size_t region_cells) {
-  // Packed: one interleaved row per rank carries the weights AND the
-  // bit-cast first_bin, so a y-side lookup touches one cache-line-bounded
-  // row instead of a weight row plus a separate first_bin load. The float
-  // values are identical either way — so are the results.
-  const float* rows = Packed ? table.packed_data() : table.weights_data();
-  const std::size_t row_stride =
-      Packed ? table.packed_stride() : table.weight_stride();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t fb_slot = table.packed_first_bin_slot();
-  const int k = table.order();
-  for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(rows + static_cast<std::size_t>(rx[jn]) * row_stride);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(rows +
-                        static_cast<std::size_t>(ry[p][jn]) * row_stride);
-      }
-    }
-    const std::size_t rxj = rx[j];
-    const float* wx = rows + rxj * row_stride;
-    const std::int32_t fbx =
-        Packed ? std::bit_cast<std::int32_t>(wx[fb_slot]) : first_bin[rxj];
-    const std::size_t x_base = static_cast<std::size_t>(fbx) * hist_stride;
-    // The row gene's broadcasts are hoisted once per sample and reused by
-    // every panel member — the core of the row-reuse win.
-    V wxv[BsplineBasis::kMaxOrder];
-    for (int a = 0; a < k; ++a) wxv[a] = V::broadcast(wx[a]);
-    for (std::size_t p = 0; p < width; ++p) {
-      const std::size_t ryj = ry[p][j];
-      const float* wy = rows + ryj * row_stride;
-      const V wyv = V::loadu(wy);
-      const std::int32_t fby =
-          Packed ? std::bit_cast<std::int32_t>(wy[fb_slot]) : first_bin[ryj];
-      float* base =
-          hist + p * region_cells + x_base + static_cast<std::size_t>(fby);
-      for (int a = 0; a < k; ++a) {
-        float* row = base + static_cast<std::size_t>(a) * hist_stride;
-        V::fmadd(wxv[a], wyv, V::loadu(row)).storeu(row);
-      }
-    }
-  }
-}
-
-#if defined(__AVX512F__)
-// Four panel members per iteration, one 512-bit gather/FMA/scatter triple
-// per row offset (4 members x 4 padded weights = 16 lanes). Members write
-// disjoint histogram regions, so the 16 scattered addresses are pairwise
-// distinct by construction — no replicas needed, unlike the per-pair
-// gather kernel. wx[a] is shared by the whole panel and broadcast to all
-// lanes. Requires order <= 4 (weight rows padded to 4 floats).
-template <typename RankT, bool Prefetch>
-void panel_accumulate_gather512(const WeightTable& table, const RankT* rx,
-                                const RankT* const* ry, std::size_t width,
-                                std::size_t m, float* hist,
-                                std::size_t hist_stride,
-                                std::size_t region_cells) {
-  const float* weights = table.weights_data();
-  const std::int32_t* first_bin = table.first_bin_data();
-  const std::size_t ws = table.weight_stride();
-  const int k = table.order();
-  TINGE_EXPECTS(k <= 4);
-  TINGE_EXPECTS(ws == 4);
-  const auto stride_i32 = static_cast<std::int32_t>(hist_stride);
-  const auto region_i32 = static_cast<std::int32_t>(region_cells);
-
-  // lane -> panel-member slot (0,0,0,0,1,1,1,1,...) and lane -> weight
-  // column (0,1,2,3 repeating).
-  const __m512i group_of_lane = _mm512_set_epi32(3, 3, 3, 3, 2, 2, 2, 2,
-                                                 1, 1, 1, 1, 0, 0, 0, 0);
-  const __m512i column_of_lane = _mm512_set_epi32(3, 2, 1, 0, 3, 2, 1, 0,
-                                                  3, 2, 1, 0, 3, 2, 1, 0);
-  const std::size_t groups = width / 4;
-
-  for (std::size_t j = 0; j < m; ++j) {
-    if constexpr (Prefetch) {
-      const std::size_t jn = j + kPrefetchDistance;
-      if (jn < m) {
-        prefetch_read(weights + static_cast<std::size_t>(rx[jn]) * ws);
-        for (std::size_t p = 0; p < width; ++p)
-          prefetch_read(weights + static_cast<std::size_t>(ry[p][jn]) * ws);
-      }
-    }
-    const std::size_t rxj = rx[j];
-    const float* wx = weights + rxj * ws;
-    const std::int32_t x_base = first_bin[rxj] * stride_i32;
-
-    for (std::size_t g = 0; g < groups; ++g) {
-      const std::size_t p0 = g * 4;
-      alignas(16) std::int32_t base4[4];
-      alignas(64) float wy_rows[16];
-      for (int t = 0; t < 4; ++t) {
-        const std::size_t ryj = ry[p0 + static_cast<std::size_t>(t)][j];
-        base4[t] = static_cast<std::int32_t>(p0 + static_cast<std::size_t>(t)) *
-                       region_i32 +
-                   x_base + first_bin[ryj];
-        const float* wy = weights + ryj * ws;
-        for (int c = 0; c < 4; ++c) wy_rows[t * 4 + c] = wy[c];
-      }
-      const __m512i base = _mm512_add_epi32(
-          _mm512_permutexvar_epi32(
-              group_of_lane, _mm512_castsi128_si512(_mm_load_si128(
-                                 reinterpret_cast<const __m128i*>(base4)))),
-          column_of_lane);
-      const __m512 wy_vec = _mm512_load_ps(wy_rows);
-
-      for (int a = 0; a < k; ++a) {
-        const __m512 wx_vec = _mm512_set1_ps(wx[a]);
-        const __m512i indices =
-            _mm512_add_epi32(base, _mm512_set1_epi32(a * stride_i32));
-        const __m512 patch = _mm512_i32gather_ps(indices, hist, 4);
-        const __m512 updated = _mm512_fmadd_ps(wx_vec, wy_vec, patch);
-        _mm512_i32scatter_ps(hist, indices, updated, 4);
-      }
-    }
-
-    // Tail members (width not a multiple of 4): 128-bit FMA path, which
-    // produces the same float sequence per region as the gathered lanes.
-    for (std::size_t p = groups * 4; p < width; ++p) {
-      const std::size_t ryj = ry[p][j];
-      const simd::F32x4 wyv = simd::F32x4::loadu(weights + ryj * ws);
-      float* base_ptr = hist + p * region_cells +
-                        static_cast<std::size_t>(x_base) +
-                        static_cast<std::size_t>(first_bin[ryj]);
-      for (int a = 0; a < k; ++a) {
-        float* row = base_ptr + static_cast<std::size_t>(a) * hist_stride;
-        simd::F32x4::fmadd(simd::F32x4::broadcast(wx[a]), wyv,
-                           simd::F32x4::loadu(row))
-            .storeu(row);
-      }
-    }
-  }
-}
-#endif  // __AVX512F__
 
 }  // namespace
 
@@ -472,128 +284,29 @@ const char* kernel_name(MiKernel kernel) {
   return "?";
 }
 
-bool gather512_available() {
-#if defined(__AVX512F__)
-  return true;
-#else
-  return false;
-#endif
+const char* kernel_names() { return "auto|simd|scalar"; }
+
+MiKernel parse_kernel(std::string_view name) {
+  for (const MiKernel kernel :
+       {MiKernel::Auto, MiKernel::Simd, MiKernel::Scalar})
+    if (name == kernel_name(kernel)) return kernel;
+  throw std::invalid_argument("unknown kernel '" + std::string(name) +
+                              "' (expected " + kernel_names() + ")");
 }
 
-MiKernel resolve_kernel(MiKernel kernel, int order) {
-  if (kernel == MiKernel::Gather512 && (!gather512_available() || order > 4))
-    return MiKernel::Replicated;
-  if (kernel != MiKernel::Auto) return kernel;
-  return order <= 4 ? MiKernel::Replicated : MiKernel::Simd;
-}
+bool vector_kernel_available() { return TINGE_VECTOR_KERNEL != 0; }
 
-MiKernel resolve_panel_kernel(MiKernel kernel, int order) {
-  switch (kernel) {
-    case MiKernel::Scalar: return MiKernel::Scalar;
-    case MiKernel::Unrolled:
-      return order <= BsplineBasis::kMaxOrder ? MiKernel::Unrolled
-                                              : MiKernel::Scalar;
-    case MiKernel::Gather512:
-      return gather512_available() && order <= 4 ? MiKernel::Gather512
-                                                 : MiKernel::Simd;
-    case MiKernel::Simd:
-    case MiKernel::Replicated:  // panel interleaving replaces replication
-    case MiKernel::Auto:
-      return MiKernel::Simd;
-  }
-  return MiKernel::Simd;
-}
-
-MiKernel panel_equivalent_kernel(MiKernel kernel) {
-  switch (kernel) {
-    case MiKernel::Scalar:
-    case MiKernel::Unrolled:
-      return kernel;
-    case MiKernel::Simd:
-    case MiKernel::Replicated:
-    case MiKernel::Gather512:
-    case MiKernel::Auto:
-      return MiKernel::Simd;
-  }
-  return MiKernel::Simd;
-}
-
-namespace {
-
-// One-shot microbenchmark backing resolve_kernel_measured: times the
-// FMA-SIMD formulation against the 512-bit gather/scatter one on synthetic
-// permutation ranks shaped like the caller's table, and returns the faster
-// kernel. Deliberately tiny (a few sweeps per candidate, best-of to shed
-// scheduler noise) — it runs once per process per flavor.
-MiKernel measure_auto_kernel(const WeightTable& table, bool panel_flavor) {
-  JointHistogram scratch = make_kernel_scratch(table);
-  const std::size_t m = table.n_samples();
-  Xoshiro256 rng(20140519);
-  std::vector<std::vector<std::uint32_t>> profiles;
-  const std::size_t n_profiles = panel_flavor
-                                     ? static_cast<std::size_t>(kMaxPanelWidth) + 1
-                                     : 2;
-  profiles.reserve(n_profiles);
-  for (std::size_t g = 0; g < n_profiles; ++g)
-    profiles.push_back(random_permutation(m, rng));
-
-  const MiKernel candidates[2] = {
-      panel_flavor ? MiKernel::Simd : MiKernel::Replicated,
-      MiKernel::Gather512};
-  double best_seconds[2] = {0.0, 0.0};
-  const std::uint32_t* ry[kMaxPanelWidth];
-  double h_panel[kMaxPanelWidth];
-  for (std::size_t p = 0; p < static_cast<std::size_t>(kMaxPanelWidth); ++p)
-    ry[p] = profiles[std::min(p + 1, n_profiles - 1)].data();
-
-  constexpr int kRounds = 3;
-  constexpr int kSweeps = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int c = 0; c < 2; ++c) {
-      const Stopwatch watch;
-      for (int sweep = 0; sweep < kSweeps; ++sweep) {
-        if (panel_flavor) {
-          joint_entropy_panel(table, profiles[0].data(), ry,
-                              static_cast<std::size_t>(kMaxPanelWidth), m,
-                              scratch, candidates[c], h_panel);
-        } else {
-          h_panel[0] = joint_entropy(table, profiles[0].data(),
-                                     profiles[1].data(), m, scratch,
-                                     candidates[c]);
-        }
-      }
-      const double elapsed = watch.seconds();
-      if (round == 0 || elapsed < best_seconds[c]) best_seconds[c] = elapsed;
-    }
-  }
-  return best_seconds[1] < best_seconds[0] ? candidates[1] : candidates[0];
-}
-
-}  // namespace
-
-MiKernel resolve_kernel_measured(MiKernel kernel, const WeightTable& table,
-                                 int panel_width) {
-  if (kernel != MiKernel::Auto) return kernel;  // explicit config wins
-  const int order = table.order();
-  const bool panel_flavor = panel_width > 1;
-  if (!gather512_available() || order > 4) {
-    return panel_flavor ? resolve_panel_kernel(kernel, order)
-                        : resolve_kernel(kernel, order);
-  }
-  if (panel_flavor) {
-    static const MiKernel winner = measure_auto_kernel(table, true);
-    return winner;
-  }
-  static const MiKernel winner = measure_auto_kernel(table, false);
-  return winner;
+MiKernel resolve_kernel(MiKernel kernel, int bins) {
+  if (kernel == MiKernel::Scalar || kernel == MiKernel::Unrolled)
+    return MiKernel::Scalar;
+  const bool vectorized = vector_kernel_available() && bins <= kMaxVectorBins;
+  return vectorized ? MiKernel::Simd : MiKernel::Scalar;
 }
 
 int auto_panel_width(const WeightTable& table) {
-  // All B joint histograms must stay cache-resident across the whole
-  // m-sample sweep: the sweep round-robins the B regions every sample, so
-  // an evicted region costs a miss per histogram row touched. Half of a
-  // conservative per-core L2 leaves room for the weight table and the B+1
-  // rank profiles streaming alongside.
+  // The B regions the panel stores into, plus the row order memo and the
+  // B+1 rank profiles streaming alongside, should stay in a conservative
+  // per-core L2.
   constexpr std::size_t kPanelCacheBudget = 256 * 1024;  // bytes
   const std::size_t region_bytes = static_cast<std::size_t>(table.bins()) *
                                    JointHistogram::stride_for(table.bins()) *
@@ -605,313 +318,30 @@ int auto_panel_width(const WeightTable& table) {
 }
 
 JointHistogram make_kernel_scratch(const WeightTable& table) {
-  // Replicated needs kHistogramReplicas stacked copies, the panel kernels
-  // up to kMaxPanelWidth regions; every kernel clears exactly the regions
-  // it uses, so per-pair and panel calls can share one scratch.
-  constexpr int kScratchRegions = kHistogramReplicas > kMaxPanelWidth
-                                      ? kHistogramReplicas
-                                      : kMaxPanelWidth;
   return JointHistogram(table.bins(), /*max_vector_width=*/16,
-                        /*replicas=*/kScratchRegions);
+                        /*replicas=*/kMaxPanelWidth);
 }
 
 double joint_entropy(const WeightTable& table, const std::uint32_t* rx,
                      const std::uint32_t* ry, std::size_t m,
                      JointHistogram& scratch, MiKernel kernel) {
-  TINGE_EXPECTS(m == table.n_samples());
-  TINGE_EXPECTS(scratch.bins() >= table.bins());
-  TINGE_EXPECTS(scratch.replicas() >= kHistogramReplicas);
-  const int k = table.order();
-  const std::size_t hs = scratch.stride();
-  float* hist = scratch.data();
-  const std::size_t region_cells = static_cast<std::size_t>(table.bins()) * hs;
-
-  const MiKernel resolved = resolve_kernel(kernel, k);
-  const bool uses_replicas = resolved == MiKernel::Replicated ||
-                             resolved == MiKernel::Gather512;
-  const std::size_t clear_cells =
-      uses_replicas
-          ? region_cells * static_cast<std::size_t>(kHistogramReplicas)
-          : region_cells;
-  std::memset(hist, 0, clear_cells * sizeof(float));
-
-  switch (resolved) {
-    case MiKernel::Scalar:
-      accumulate_scalar(table, rx, ry, m, hist, hs);
-      break;
-    case MiKernel::Unrolled:
-      switch (k) {
-        case 1: accumulate_unrolled<1>(table, rx, ry, m, hist, hs); break;
-        case 2: accumulate_unrolled<2>(table, rx, ry, m, hist, hs); break;
-        case 3: accumulate_unrolled<3>(table, rx, ry, m, hist, hs); break;
-        case 4: accumulate_unrolled<4>(table, rx, ry, m, hist, hs); break;
-        case 5: accumulate_unrolled<5>(table, rx, ry, m, hist, hs); break;
-        case 6: accumulate_unrolled<6>(table, rx, ry, m, hist, hs); break;
-        case 7: accumulate_unrolled<7>(table, rx, ry, m, hist, hs); break;
-        case 8: accumulate_unrolled<8>(table, rx, ry, m, hist, hs); break;
-        default: accumulate_scalar(table, rx, ry, m, hist, hs); break;
-      }
-      break;
-    case MiKernel::Simd:
-      if (k <= 4) {
-        accumulate_simd<simd::F32x4>(table, rx, ry, m, hist, hs);
-      } else {
-        accumulate_simd<simd::F32x8>(table, rx, ry, m, hist, hs);
-      }
-      break;
-    case MiKernel::Replicated:
-      if (k <= 4) {
-        accumulate_replicated<simd::F32x4>(table, rx, ry, m, hist, hs);
-      } else {
-        accumulate_replicated<simd::F32x8>(table, rx, ry, m, hist, hs);
-      }
-      break;
-    case MiKernel::Gather512:
-#if defined(__AVX512F__)
-      accumulate_gather512(table, rx, ry, m, hist, hs);
-      merge_replicas(hist, region_cells);
-#else
-      TINGE_ASSERT(false);  // resolve_kernel falls back before dispatch
-#endif
-      break;
-    case MiKernel::Auto:
-      TINGE_ASSERT(false);  // resolved above
-      break;
-  }
-
-  return entropy_from_region(hist, region_cells, m);
+  double h = 0.0;
+  joint_entropy_panel_impl(table, rx, &ry, 1, m, scratch, kernel, &h);
+  return h;
 }
-
-namespace {
-
-// Folds the runtime packed/prefetch flags into the compile-time template
-// parameters of the FMA panel. Packed is only honoured here — the other
-// variants read the classic layout (gather512's index math needs the
-// separate ws == 4 weight rows).
-template <typename V, typename RankT>
-void panel_simd_dispatch(bool packed, bool prefetch, const WeightTable& table,
-                         const RankT* rx, const RankT* const* ry,
-                         std::size_t width, std::size_t m, float* hist,
-                         std::size_t hs, std::size_t region_cells) {
-  if (packed) {
-    if (prefetch) {
-      panel_accumulate_simd<V, RankT, true, true>(table, rx, ry, width, m,
-                                                  hist, hs, region_cells);
-    } else {
-      panel_accumulate_simd<V, RankT, true, false>(table, rx, ry, width, m,
-                                                   hist, hs, region_cells);
-    }
-  } else {
-    if (prefetch) {
-      panel_accumulate_simd<V, RankT, false, true>(table, rx, ry, width, m,
-                                                   hist, hs, region_cells);
-    } else {
-      panel_accumulate_simd<V, RankT, false, false>(table, rx, ry, width, m,
-                                                    hist, hs, region_cells);
-    }
-  }
-}
-
-template <typename RankT>
-void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
-                              const RankT* const* ry, std::size_t width,
-                              std::size_t m, JointHistogram& scratch,
-                              const PanelOptions& options, double* h_out) {
-  TINGE_EXPECTS(width >= 1);
-  TINGE_EXPECTS(width <= static_cast<std::size_t>(kMaxPanelWidth));
-  TINGE_EXPECTS(m == table.n_samples());
-  TINGE_EXPECTS(scratch.bins() >= table.bins());
-  TINGE_EXPECTS(scratch.replicas() >= static_cast<int>(width));
-  const int k = table.order();
-  const std::size_t hs = scratch.stride();
-  float* hist = scratch.data();
-  const std::size_t region_cells = static_cast<std::size_t>(table.bins()) * hs;
-  const bool prefetch = options.prefetch;
-
-  // One clear for the whole panel (regions are stacked contiguously).
-  std::memset(hist, 0, width * region_cells * sizeof(float));
-
-  switch (resolve_panel_kernel(options.kernel, k)) {
-    case MiKernel::Scalar:
-      if (prefetch) {
-        panel_accumulate_scalar<RankT, true>(table, rx, ry, width, m, hist,
-                                             hs, region_cells);
-      } else {
-        panel_accumulate_scalar<RankT, false>(table, rx, ry, width, m, hist,
-                                              hs, region_cells);
-      }
-      break;
-    case MiKernel::Unrolled:
-      switch (k) {
-        case 1: panel_accumulate_unrolled<1>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 2: panel_accumulate_unrolled<2>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 3: panel_accumulate_unrolled<3>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 4: panel_accumulate_unrolled<4>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 5: panel_accumulate_unrolled<5>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 6: panel_accumulate_unrolled<6>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 7: panel_accumulate_unrolled<7>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        case 8: panel_accumulate_unrolled<8>(table, rx, ry, width, m, hist, hs, region_cells); break;
-        default:
-          panel_accumulate_scalar<RankT, false>(table, rx, ry, width, m, hist,
-                                                hs, region_cells);
-          break;
-      }
-      break;
-    case MiKernel::Gather512:
-#if defined(__AVX512F__)
-      if (prefetch) {
-        panel_accumulate_gather512<RankT, true>(table, rx, ry, width, m, hist,
-                                                hs, region_cells);
-      } else {
-        panel_accumulate_gather512<RankT, false>(table, rx, ry, width, m,
-                                                 hist, hs, region_cells);
-      }
-      break;
-#else
-      TINGE_ASSERT(false);  // resolve_panel_kernel falls back before dispatch
-      break;
-#endif
-    case MiKernel::Simd:
-      if (k <= 4) {
-        panel_simd_dispatch<simd::F32x4>(options.packed, prefetch, table, rx,
-                                         ry, width, m, hist, hs, region_cells);
-      } else {
-        panel_simd_dispatch<simd::F32x8>(options.packed, prefetch, table, rx,
-                                         ry, width, m, hist, hs, region_cells);
-      }
-      break;
-    case MiKernel::Replicated:
-    case MiKernel::Auto:
-      TINGE_ASSERT(false);  // resolve_panel_kernel never returns these
-      break;
-  }
-
-  // Batched entropy/merge pass: one sweep per region, h_out[p] = H(X, Y_p).
-  for (std::size_t p = 0; p < width; ++p)
-    h_out[p] = entropy_from_region(hist + p * region_cells, region_cells, m);
-}
-
-}  // namespace
 
 void joint_entropy_panel(const WeightTable& table, const std::uint32_t* rx,
                          const std::uint32_t* const* ry, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
                          MiKernel kernel, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch,
-                           PanelOptions{kernel}, h_out);
-}
-
-void joint_entropy_panel(const WeightTable& table, const std::uint32_t* rx,
-                         const std::uint32_t* const* ry, std::size_t width,
-                         std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, options, h_out);
+  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, kernel, h_out);
 }
 
 void joint_entropy_panel(const WeightTable& table, const std::uint16_t* rx,
                          const std::uint16_t* const* ry, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out) {
-  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, options, h_out);
-}
-
-namespace {
-
-// One-shot microbenchmark backing prefetch_pays_measured and
-// packed_pays_measured: same synthetic permutation setup as
-// measure_auto_kernel, timing the two candidate panel configurations
-// head-to-head and returning whether `with` beat `without`.
-bool measure_policy_wins(const WeightTable& table,
-                         const PanelOptions& without, const PanelOptions& with,
-                         int width) {
-  JointHistogram scratch = make_kernel_scratch(table);
-  const std::size_t m = table.n_samples();
-  Xoshiro256 rng(20140519);
-  const auto w = static_cast<std::size_t>(width);
-  std::vector<std::vector<std::uint32_t>> profiles;
-  profiles.reserve(w + 1);
-  for (std::size_t g = 0; g < w + 1; ++g)
-    profiles.push_back(random_permutation(m, rng));
-  const std::uint32_t* ry[kMaxPanelWidth];
-  double h_panel[kMaxPanelWidth];
-  for (std::size_t p = 0; p < w; ++p) ry[p] = profiles[p + 1].data();
-
-  const PanelOptions candidates[2] = {without, with};
-  double best_seconds[2] = {0.0, 0.0};
-  constexpr int kRounds = 3;
-  constexpr int kSweeps = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int c = 0; c < 2; ++c) {
-      const Stopwatch watch;
-      for (int sweep = 0; sweep < kSweeps; ++sweep) {
-        joint_entropy_panel(table, profiles[0].data(), ry, w, m, scratch,
-                            candidates[c], h_panel);
-      }
-      const double elapsed = watch.seconds();
-      if (round == 0 || elapsed < best_seconds[c]) best_seconds[c] = elapsed;
-    }
-  }
-  return best_seconds[1] < best_seconds[0];
-}
-
-// Memoized verdicts of measure_policy_wins, keyed on everything that
-// changes the measurement: which policy is under test, the resolved kernel,
-// the table shape (order, bins, m), the panel width and the base packing.
-// A process mixing estimators (different m or order — the bench ablations,
-// the estimator studies) measures each configuration once instead of
-// inheriting the first caller's verdict.
-bool measured_policy_cached(int policy, const WeightTable& table,
-                            MiKernel resolved, const PanelOptions& without,
-                            const PanelOptions& with, int width) {
-  using Key =
-      std::tuple<int, MiKernel, int, int, std::size_t, int, bool>;
-  static std::mutex mutex;
-  static std::map<Key, bool> verdicts;
-  const Key key{policy,        resolved, table.order(), table.bins(),
-                table.n_samples(), width,    without.packed};
-  // Measuring under the lock serializes concurrent first calls for the same
-  // key; these run once per configuration, before the parallel region.
-  const std::lock_guard<std::mutex> lock(mutex);
-  auto it = verdicts.find(key);
-  if (it == verdicts.end()) {
-    it = verdicts
-             .emplace(key, measure_policy_wins(table, without, with, width))
-             .first;
-  }
-  return it->second;
-}
-
-constexpr int kPolicyPrefetch = 0;
-constexpr int kPolicyPacked = 1;
-
-}  // namespace
-
-bool prefetch_pays_measured(const WeightTable& table, const PanelOptions& base,
-                            int panel_width) {
-  const MiKernel resolved = resolve_panel_kernel(base.kernel, table.order());
-  if (resolved == MiKernel::Unrolled) return false;  // flag is a no-op there
-  const int width = std::clamp(panel_width, 1, kMaxPanelWidth);
-  PanelOptions off = base;
-  off.prefetch = false;
-  PanelOptions on = base;
-  on.prefetch = true;
-  return measured_policy_cached(kPolicyPrefetch, table, resolved, off, on,
-                                width);
-}
-
-bool packed_pays_measured(const WeightTable& table, const PanelOptions& base,
-                          int panel_width) {
-  // Only the FMA (Simd) panels read the packed rows; everywhere else the
-  // flag is a no-op and measuring it would just time noise.
-  if (resolve_panel_kernel(base.kernel, table.order()) != MiKernel::Simd)
-    return false;
-  const int width = std::clamp(panel_width, 1, kMaxPanelWidth);
-  PanelOptions off = base;
-  off.packed = false;
-  PanelOptions on = base;
-  on.packed = true;
-  return measured_policy_cached(kPolicyPacked, table, MiKernel::Simd, off, on,
-                                width);
+                         MiKernel kernel, double* h_out) {
+  joint_entropy_panel_impl(table, rx, ry, width, m, scratch, kernel, h_out);
 }
 
 }  // namespace tinge

@@ -1,4 +1,4 @@
-// The hot pair kernels: joint entropy of two rank profiles through the
+// The hot pair kernel: joint entropy of two rank profiles through the
 // shared weight table. Everything the paper's Xeon Phi optimization section
 // is about happens here.
 //
@@ -7,188 +7,116 @@
 //
 //     P[ix + a][iy + c] += wx[a] * wy[c]      a, c in [0, order)
 //
-// Kernel variants (benchmarked against each other in bench_mi_kernels):
-//   Scalar     — the textbook triple loop; the paper's baseline.
-//   Unrolled   — order known at compile time, inner loops fully unrolled.
-//   Simd       — wy is loaded once as a padded vector; each row update is a
-//                single broadcast*vector FMA (the paper's VPU formulation).
-//   Replicated — Simd plus K-way histogram replication: consecutive samples
-//                write to different replicas, breaking the store-to-load
-//                dependency chain when neighbouring samples hit the same
-//                bins (frequent: ranks are uniform, so adjacent histogram
-//                rows are hot). Replicas are reduced before the entropy
-//                pass. This mirrors the paper's private-copy trick for
-//                vectorizing scatter updates with conflicts.
-//   Gather512  — the full-width Phi-style formulation (order <= 4,
-//                AVX-512F builds only; resolves to Replicated elsewhere):
-//                four samples are packed into one 512-bit register (4
-//                samples x 4 padded weights = 16 lanes) and their histogram
-//                patches are updated with gather -> FMA -> scatter, one
-//                instruction triple per row offset. Each sample in the
-//                group writes its own histogram replica, so the scattered
-//                indices never collide — the same conflict-free-by-
-//                construction trick the paper uses to vectorize scatter
-//                updates on the Phi's VPU.
+// Every B-spline evaluation in the library — the panel sweep under every
+// scheduler, per-pair calls, null draws, the permutation test, the cluster
+// and serve paths — performs these additions in ONE canonical order, so a
+// pair's bits never depend on the path, the panel width or the ISA:
 //
-// Panel (row-reuse) formulation — joint_entropy_panel:
-//   The tiled O(n^2) pass pairs every row gene i with every column gene j of
-//   its tile row, yet the per-pair kernels above re-read gene i's rank row,
-//   re-derive first_bin[rx[j]] * stride and the wx weight-row pointer, and
-//   re-clear/re-reduce scratch once *per pair*. The panel kernel instead
-//   fixes one row gene and sweeps the m samples once against B column genes
-//   (B <= kMaxPanelWidth), accumulating into B joint-histogram regions:
-//   the rx-side work (rank load, weight-row broadcasts, row-base offset) is
-//   done once per sample instead of once per pair, and the round-robin
-//   across B independent regions breaks the store-to-load dependency chain
-//   that the per-pair Replicated kernel needs replica merging for — so the
-//   panel path skips the replica merge entirely. One batched entropy pass
-//   over the B regions finishes the panel. Variants mirror the per-pair
-//   ladder (scalar / unrolled / FMA-SIMD / AVX-512 gather-scatter); for a
-//   given region each variant performs the per-pair kernel's float
-//   operations in the same order, so panel results are bit-identical to the
-//   matching per-pair kernel.
+//   1. The row gene x's samples are stably counting-sorted by first bin
+//      ix (once per row gene; memoized in the scratch, see RowOrderMemo).
+//   2. Group g (the samples with ix == g, in sample order) updates only
+//      histogram rows g..g+order-1. Groups run in increasing g.
+//   3. Every update is a fused multiply-add, rounded once:
+//          P[g + a][iy + c] = fma(wx[a], wy[c], P[g + a][iy + c]).
 //
-// Memory-side panel policies (PanelOptions), independent of the variant
-// ladder and bit-identical by construction:
-//   * uint16 rank staging — ranks are exact integers < m, so when
-//     m <= 65536 the panel entry points also accept uint16 rank rows
-//     (StagedRankMatrix in preprocess/rank_transform.h), halving the
-//     streamed rank traffic of the O(n^2) sweep. The indices select the
-//     same table rows, so results are bit-identical to the uint32 path.
-//   * packed table rows — the FMA panels can read the WeightTable's
-//     interleaved [weights | first_bin] rows (one cache-line-bounded load
-//     per y-side lookup instead of two scattered ones).
-//   * software prefetch — the scalar/FMA/gather512 panels can issue
-//     prefetches for the table rows of sample j + kPrefetchDistance,
-//     covering the rank-indexed (hardware-prefetch-opaque) loads.
+// So each cell sums its contributions group by group, and in sample order
+// within a group. The order is implemented twice:
 //
-// All variants return H(X,Y) in nats and produce identical results up to
-// float summation order.
+//   Simd   — register-resident: the panel's rows g..g+order-1 stay in
+//            vector registers as a sliding window per panel member; when
+//            group g is done, row g is final and stored. The y operand is
+//            the table's expanded weight row (WeightTable::expanded_data):
+//            a 16- or 32-lane row that holds wy at columns iy..iy+order-1
+//            and zeros elsewhere, so the extra lanes' FMAs are fma(w, 0,
+//            acc) == acc — bitwise no-ops. Written once over NativeF32, so
+//            AVX-512 and AVX2 builds accumulate the same bits. Needs fused
+//            FMA in the build, bins <= kMaxVectorBins and order <= 8.
+//   Scalar — the reference: the same loops in plain C++ with std::fma on
+//            the order x order nonzero cells only. It reproduces Simd bit
+//            for bit (the test oracle), and runs every shape Simd does not
+//            (more bins than kMaxVectorBins, builds without FMA).
+//
+// Panel (row-reuse) formulation — joint_entropy_panel: one row gene against
+// B <= kMaxPanelWidth column genes. The row gene's sorted order and weight
+// broadcasts are shared across the panel; each member keeps its own window.
+// Per-pair joint_entropy is the width-1 panel. Rank rows may be uint32 or
+// uint16 (staged, m <= 65536): the indices select the same table rows, so
+// both widths give the same bits.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 #include "mi/joint_histogram.h"
 #include "mi/weight_table.h"
 
 namespace tinge {
 
+/// Kernel selection. Scalar is the reference, Simd the register-resident
+/// vector kernel, Auto = Simd. Both compute the canonical order above, so
+/// they return identical bits; the choice only changes speed.
+///
+/// Unrolled, Replicated and Gather512 are legacy aliases kept so existing
+/// C++ callers still compile: Unrolled runs Scalar, the other two run
+/// Simd. No string parser accepts their names (see parse_kernel).
 enum class MiKernel { Scalar, Unrolled, Simd, Replicated, Gather512, Auto };
-
-/// True when this build can run the real 512-bit gather/scatter kernel.
-bool gather512_available();
 
 const char* kernel_name(MiKernel kernel);
 
-/// Replica count used by MiKernel::Replicated.
-inline constexpr int kHistogramReplicas = 4;
+/// Parses a --kernel value: "auto", "simd" or "scalar". Throws
+/// std::invalid_argument naming the accepted values otherwise.
+MiKernel parse_kernel(std::string_view name);
+
+/// The accepted kernel names, "auto|simd|scalar".
+const char* kernel_names();
+
+/// Id of the canonical accumulation order, journaled in checkpoint headers
+/// (CheckpointState::accumulation) so that B-spline values from another
+/// order never resume into one network. 0 stands for the sample-order
+/// kernels that preceded it (journal versions 1 and 2).
+inline constexpr std::uint32_t kAccumulationOrder = 1;
 
 /// Maximum panel width B accepted by joint_entropy_panel. Scratch from
 /// make_kernel_scratch always carries this many histogram regions.
 inline constexpr int kMaxPanelWidth = 8;
 
-/// Samples of lookahead for the software-prefetch panel variants: far
-/// enough to cover L2 latency, near enough that the rows are still resident
-/// when their sample arrives.
-inline constexpr std::size_t kPrefetchDistance = 16;
+/// True when this build has fused FMA, so the vector kernel can run.
+bool vector_kernel_available();
 
-/// Memory-side policy of one panel sweep, resolved once per pass (the
-/// kernel-policy flag measured-auto picks through, see plan_panels):
-/// `prefetch` issues software prefetches for upcoming samples' table rows
-/// in the scalar/FMA/gather512 panels; `packed` makes the FMA panels read
-/// the interleaved packed table rows. Both leave results bit-identical —
-/// they change where bytes come from, not which floats are multiplied.
-struct PanelOptions {
-  MiKernel kernel = MiKernel::Auto;
-  bool prefetch = false;
-  bool packed = false;
-};
+/// The kernel that actually runs for `kernel` on a table of `bins` bins:
+/// Scalar or Simd. Simd falls back to Scalar (same bits) when the build
+/// lacks FMA or the table has more than kMaxVectorBins bins. Every order
+/// the basis allows (<= 8) runs vectorized.
+MiKernel resolve_kernel(MiKernel kernel, int bins);
 
-/// Scratch sized for any kernel variant: Replicated needs kHistogramReplicas
-/// regions, the panel kernels up to kMaxPanelWidth.
+/// Scratch for the kernels: kMaxPanelWidth histogram regions plus the
+/// row-gene order memo.
 JointHistogram make_kernel_scratch(const WeightTable& table);
 
-/// Joint entropy H(X,Y) in nats of two rank profiles of length m.
-/// `scratch` must come from make_kernel_scratch for the same table.
-/// Auto resolves to Replicated for order <= 4, else Simd.
+/// Joint entropy H(X,Y) in nats of two rank profiles of length m: the
+/// width-1 panel. `scratch` must come from make_kernel_scratch for the same
+/// table.
 double joint_entropy(const WeightTable& table, const std::uint32_t* ranks_x,
                      const std::uint32_t* ranks_y, std::size_t m,
                      JointHistogram& scratch, MiKernel kernel);
 
 /// Batched joint entropy of one row gene against a panel of `width` column
 /// genes (1 <= width <= kMaxPanelWidth): h_out[p] = H(X, Y_p) where
-/// ranks_y[p] is the p-th column gene's rank profile. The m samples are
-/// swept once; the row gene's table lookups are shared across the panel.
-/// For every p the result is bit-identical to per-pair joint_entropy with
-/// the matching kernel (Scalar/Unrolled exactly; Simd/Replicated/Gather512/
-/// Auto all map to the FMA-SIMD accumulation order of MiKernel::Simd, with
-/// Gather512 running the 512-bit gather/scatter formulation when available).
+/// ranks_y[p] is the p-th column gene's rank profile. For every p the
+/// result is bit-identical to joint_entropy(X, Y_p), for either kernel and
+/// either rank width. The uint16 overload requires m <= 65536.
 void joint_entropy_panel(const WeightTable& table, const std::uint32_t* ranks_x,
                          const std::uint32_t* const* ranks_y, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
                          MiKernel kernel, double* h_out);
-
-/// Full-policy panel entry points: kernel plus the packed/prefetch knobs.
-/// The uint16 overload is the staged-rank path (requires every rank < m and
-/// m <= 65536, see StagedRankMatrix) and is bit-identical to the uint32
-/// overload for the same options.
-void joint_entropy_panel(const WeightTable& table, const std::uint32_t* ranks_x,
-                         const std::uint32_t* const* ranks_y, std::size_t width,
-                         std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out);
 void joint_entropy_panel(const WeightTable& table, const std::uint16_t* ranks_x,
                          const std::uint16_t* const* ranks_y, std::size_t width,
                          std::size_t m, JointHistogram& scratch,
-                         const PanelOptions& options, double* h_out);
-
-/// The kernel actually run when `kernel` is Auto for this table.
-MiKernel resolve_kernel(MiKernel kernel, int order);
-
-/// The panel variant joint_entropy_panel runs for `kernel`: Replicated and
-/// Auto map to Simd (panel interleaving already breaks the store-to-load
-/// chain replication exists for), Gather512 falls back to Simd when the ISA
-/// or order rules it out.
-MiKernel resolve_panel_kernel(MiKernel kernel, int order);
-
-/// The per-pair kernel whose float accumulation order reproduces the
-/// engine's panel sweep bits for `kernel`: Scalar and Unrolled are exact
-/// per-pair equivalents already, while the whole SIMD family (Simd,
-/// Replicated, Gather512, Auto — including Auto's measured resolution)
-/// shares the panel path's FMA-SIMD accumulation of MiKernel::Simd.
-/// Per-pair code that must match the engine bit-for-bit (e.g. the cluster
-/// ring sweep) routes its kernel choice through this instead of passing
-/// the configured kernel straight to joint_entropy.
-MiKernel panel_equivalent_kernel(MiKernel kernel);
-
-/// Auto resolution backed by a one-shot microbenchmark: on AVX-512F builds
-/// with order <= 4 the FMA-SIMD and gather/scatter formulations are timed
-/// once per process (first table wins; subsequent calls reuse the cached
-/// verdict) and the faster one is returned — this is how Auto can select
-/// Gather512, which the static policy never does. Panel (panel_width > 1)
-/// and per-pair flavors are measured and cached independently. Non-Auto
-/// kernels pass through untouched (the config override). Without AVX-512F
-/// or for order > 4 this is identical to the static resolution.
-MiKernel resolve_kernel_measured(MiKernel kernel, const WeightTable& table,
-                                 int panel_width);
-
-/// Measured arm of the prefetch policy flag: times one-shot panel sweeps of
-/// `base` against `base` + prefetch (same kernel and packed setting) and
-/// returns whether prefetch won. Cached per process like
-/// resolve_kernel_measured (first table wins). Always false for panel
-/// kernels that ignore the flag (Unrolled).
-bool prefetch_pays_measured(const WeightTable& table, const PanelOptions& base,
-                            int panel_width);
-
-/// Measured arm of the packed-table policy flag: times `base` against
-/// `base` + packed rows and returns whether packed won. Cached per process
-/// (first table wins). Always false when the resolved panel kernel is not
-/// Simd — only the FMA panels read the packed layout.
-bool packed_pays_measured(const WeightTable& table, const PanelOptions& base,
-                          int panel_width);
+                         MiKernel kernel, double* h_out);
 
 /// Panel width the Auto policy picks for `table`: the largest
 /// B <= kMaxPanelWidth whose B joint-histogram regions fit the panel cache
-/// budget (histograms must stay resident across the whole m-sample sweep).
+/// budget.
 int auto_panel_width(const WeightTable& table);
 
 }  // namespace tinge

@@ -52,28 +52,15 @@ class BsplineMi {
   }
 
   /// Batched MI of one row gene against `width` column genes (the panel
-  /// kernel, see bspline_kernels.h): mi_out[p] = MI(x, y_p). Results are
-  /// bit-identical to per-pair mi() with the matching kernel.
-  void mi_panel(std::span<const std::uint32_t> ranks_x,
-                const std::uint32_t* const* ranks_y, std::size_t width,
-                JointHistogram& scratch, MiKernel kernel,
-                double* mi_out) const {
-    TINGE_EXPECTS(ranks_x.size() >= n_samples());
-    tinge::joint_entropy_panel(table_, ranks_x.data(), ranks_y, width,
-                               n_samples(), scratch, kernel, mi_out);
-    const double h2 = 2.0 * table_.marginal_entropy();
-    for (std::size_t p = 0; p < width; ++p) mi_out[p] = h2 - mi_out[p];
-  }
-
-  /// Full-policy panel MI: kernel plus the packed/prefetch knobs, for
-  /// classic uint32 or staged uint16 rank rows (RankT). All option and
-  /// rank-width combinations are bit-identical (see bspline_kernels.h).
+  /// kernel, see bspline_kernels.h): mi_out[p] = MI(x, y_p), for uint32
+  /// classic or uint16 staged rank rows (RankT). Results are bit-identical
+  /// to per-pair mi() for either kernel and either rank width.
   template <typename RankT>
   void mi_panel(const RankT* ranks_x, const RankT* const* ranks_y,
-                std::size_t width, JointHistogram& scratch,
-                const PanelOptions& options, double* mi_out) const {
+                std::size_t width, JointHistogram& scratch, MiKernel kernel,
+                double* mi_out) const {
     tinge::joint_entropy_panel(table_, ranks_x, ranks_y, width, n_samples(),
-                               scratch, options, mi_out);
+                               scratch, kernel, mi_out);
     const double h2 = 2.0 * table_.marginal_entropy();
     for (std::size_t p = 0; p < width; ++p) mi_out[p] = h2 - mi_out[p];
   }

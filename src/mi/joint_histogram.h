@@ -8,16 +8,36 @@
 // estimator is compute- rather than memory-bound.
 //
 // A histogram can carry `replicas` stacked copies (each bins x stride):
-// the Replicated kernel writes round-robin into them to break store-to-load
-// dependencies and reduces them before the entropy pass.
+// the panel kernel writes member p of a panel into region p.
+//
+// The scratch also carries the kernels' row-gene memo (RowOrderMemo): the
+// row gene's samples sorted by first bin, reused by every panel call that
+// passes the same rank row.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <span>
+#include <vector>
 
 #include "util/aligned.h"
 
 namespace tinge {
+
+/// The B-spline kernels' per-row-gene work (bspline_kernels.cpp): the row
+/// gene's samples stably counting-sorted by first bin. Valid for the rank
+/// row whose bytes are `key`, under the weight table identified by
+/// `table`/`bins`/`order`; the kernels rebuild it when a call passes a
+/// different row.
+struct RowOrderMemo {
+  const float* table = nullptr;  ///< WeightTable::weights_data() of the build
+  int bins = 0;
+  int order = 0;
+  std::vector<unsigned char> key;      ///< bytes of the rank row
+  std::vector<std::uint32_t> sample;   ///< sample index, in sorted order
+  std::vector<std::uint32_t> rank;     ///< the row gene's rank, same order
+  std::vector<std::uint32_t> group_begin;  ///< bins - order + 2 offsets
+};
 
 class JointHistogram {
  public:
@@ -69,6 +89,8 @@ class JointHistogram {
 
   void clear() { std::memset(cells_.data(), 0, cells_.size() * sizeof(float)); }
 
+  RowOrderMemo& row_order() { return row_order_; }
+
   /// Sum over all cells (diagnostics; equals m after an accumulation pass).
   double total_mass() const {
     double total = 0.0;
@@ -81,6 +103,7 @@ class JointHistogram {
   int replicas_;
   std::size_t stride_;
   AlignedBuffer<float> cells_;
+  RowOrderMemo row_order_;
 };
 
 }  // namespace tinge

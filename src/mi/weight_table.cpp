@@ -1,7 +1,6 @@
 #include "mi/weight_table.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -39,18 +38,20 @@ WeightTable::WeightTable(std::size_t m, const BsplineBasis& basis)
     if (p > 0.0) h -= p * std::log(p);
   }
   marginal_entropy_ = h;
-  build_packed();
+  build_expanded();
 }
 
-void WeightTable::build_packed() {
-  packed_stride_ = round_up(weight_stride_ + 1, 8);
-  packed_ = AlignedBuffer<float>(m_ * packed_stride_);
+void WeightTable::build_expanded() {
+  constexpr std::size_t kLanes = 16;
+  if (bins_ > kMaxVectorBins) return;  // scalar-only shape
+  expanded_stride_ = round_up(static_cast<std::size_t>(bins_), kLanes);
+  expanded_ = AlignedBuffer<float>(m_ * expanded_stride_);
   for (std::size_t r = 0; r < m_; ++r) {
     const float* src = weights_.data() + r * weight_stride_;
-    float* dst = packed_.data() + r * packed_stride_;
-    std::copy(src, src + weight_stride_, dst);
-    dst[weight_stride_] = std::bit_cast<float>(first_bin_[r]);
-    // trailing padding already zero-initialized
+    float* dst = expanded_.data() + r * expanded_stride_ +
+                 static_cast<std::size_t>(first_bin_[r]);
+    std::copy(src, src + order_, dst);
+    // the other columns stay zero (AlignedBuffer zero-initializes)
   }
 }
 
@@ -74,7 +75,7 @@ WeightTable::WeightTable(std::size_t m, int bins, int order,
   TINGE_EXPECTS(first_bin.size() == m);
   std::copy(weights.begin(), weights.end(), weights_.data());
   std::copy(first_bin.begin(), first_bin.end(), first_bin_.data());
-  build_packed();
+  build_expanded();
 }
 
 }  // namespace tinge

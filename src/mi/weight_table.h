@@ -12,17 +12,17 @@
 // table-driven fused multiply-adds. It also makes the marginal entropy a
 // single dataset-wide constant, exposed here.
 //
-// Two physical layouts coexist:
+// Two layouts of the same floats coexist:
 //   * classic — weights_ (m x weight_stride floats) and first_bin_ (m
-//     int32) as separate arrays. The per-pair kernels and the AVX-512
-//     gather/scatter kernel read this.
-//   * packed — one interleaved array of m rows of packed_stride floats:
-//     [w_0 .. w_{ws-1}, bit_cast<float>(first_bin), zero padding]. A
-//     sample's entire y-side lookup (weight row + first bin) is one
-//     contiguous, cache-line-bounded load instead of two scattered ones —
-//     the stride is padded so a row never straddles a 64-byte line. The
-//     FMA panel kernels read this when PanelOptions::packed is set; the
-//     float values are identical, so results stay bit-identical.
+//     int32): the order weights of each rank. The scalar reference kernel
+//     reads this.
+//   * expanded — m rows of expanded_stride (16 or 32) floats, one lane per
+//     histogram column: row r holds rank r's weights at columns
+//     first_bin(r) .. first_bin(r)+order-1 and zeros elsewhere. It is the
+//     vector kernel's y operand: one aligned load per sample gives a whole
+//     histogram row's update, and the zero lanes leave the accumulators
+//     bitwise unchanged. Built only when bins <= 32 (the vector kernel's
+//     limit); m x 64 bytes at the paper's b = 10.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,10 @@
 #include "util/aligned.h"
 
 namespace tinge {
+
+/// Largest bin count with expanded rows, and so the largest the vector
+/// kernel runs (two 16-lane vectors per histogram row above 16 bins).
+inline constexpr int kMaxVectorBins = 32;
 
 class WeightTable {
  public:
@@ -59,18 +63,15 @@ class WeightTable {
   const float* weights_data() const { return weights_.data(); }
   const std::int32_t* first_bin_data() const { return first_bin_.data(); }
 
-  /// Floats per packed row: weight_stride + 1 (the bit-cast first_bin slot)
-  /// rounded up to 8, so a row is 32 or 64 bytes and never straddles a
-  /// cache line.
-  std::size_t packed_stride() const { return packed_stride_; }
+  /// Floats per expanded row: 16 for bins <= 16, 32 for bins <= 32, 0 when
+  /// the table has more bins than the vector kernel handles (no expanded
+  /// rows are built then).
+  std::size_t expanded_stride() const { return expanded_stride_; }
 
-  /// The interleaved rows: packed_data()[r * packed_stride() + c] is weight
-  /// c of rank r for c < weight_stride(), and bit_cast<float>(first_bin(r))
-  /// at c == weight_stride().
-  const float* packed_data() const { return packed_.data(); }
-
-  /// Column of the bit-cast first_bin inside a packed row.
-  std::size_t packed_first_bin_slot() const { return weight_stride_; }
+  /// The expanded rows: expanded_data()[r * expanded_stride() + c] is the
+  /// weight of rank r in histogram column c (zero outside its order
+  /// columns). Rows are 64-byte aligned.
+  const float* expanded_data() const { return expanded_.data(); }
 
   std::span<const float> weights(std::size_t rank) const {
     TINGE_EXPECTS(rank < m_);
@@ -86,16 +87,16 @@ class WeightTable {
   double marginal_entropy() const { return marginal_entropy_; }
 
  private:
-  void build_packed();
+  void build_expanded();
 
   std::size_t m_;
   int bins_;
   int order_;
   std::size_t weight_stride_;
-  std::size_t packed_stride_ = 0;
+  std::size_t expanded_stride_ = 0;
   AlignedBuffer<float> weights_;        // m x weight_stride
   AlignedBuffer<std::int32_t> first_bin_;  // m
-  AlignedBuffer<float> packed_;         // m x packed_stride, interleaved
+  AlignedBuffer<float> expanded_;       // m x expanded_stride
   double marginal_entropy_ = 0.0;
 };
 

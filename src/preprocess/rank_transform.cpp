@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "parallel/parallel_for.h"
+
 namespace tinge {
 
 namespace {
@@ -49,10 +51,31 @@ RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix)
                        kSimdAlignment / sizeof(std::uint32_t))),
       ranks_(n_genes_ * stride_),
       gene_names_(matrix.gene_names()) {
-  for (std::size_t g = 0; g < n_genes_; ++g) {
+  rank_rows(matrix, 0, n_genes_);
+}
+
+RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix,
+                           par::ThreadPool& pool, int threads)
+    : n_genes_(matrix.n_genes()),
+      n_samples_(matrix.n_samples()),
+      stride_(round_up(n_samples_ == 0 ? 1 : n_samples_,
+                       kSimdAlignment / sizeof(std::uint32_t))),
+      ranks_(n_genes_ * stride_),
+      gene_names_(matrix.gene_names()) {
+  const int contexts = threads > 0 ? std::min(threads, pool.max_threads())
+                                   : pool.max_threads();
+  par::parallel_for(pool, contexts, 0, n_genes_, /*grain=*/8,
+                    par::Schedule::Dynamic,
+                    [&](std::size_t first, std::size_t last, int /*tid*/) {
+                      rank_rows(matrix, first, last);
+                    });
+}
+
+void RankedMatrix::rank_rows(const ExpressionMatrix& matrix, std::size_t first,
+                             std::size_t last) {
+  for (std::size_t g = first; g < last; ++g) {
     const auto ranks = rank_order(matrix.row(g));
-    std::uint32_t* dst = ranks_.data() + g * stride_;
-    std::copy(ranks.begin(), ranks.end(), dst);
+    std::copy(ranks.begin(), ranks.end(), ranks_.data() + g * stride_);
   }
 }
 

@@ -27,6 +27,10 @@
 
 namespace tinge {
 
+namespace par {
+class ThreadPool;
+}
+
 enum class TiePolicy { StableOrder, Average };
 
 /// 0-based ranks with ties broken by sample order (a permutation of
@@ -51,6 +55,12 @@ class RankedMatrix {
   RankedMatrix() = default;
   explicit RankedMatrix(const ExpressionMatrix& matrix);
 
+  /// The same ranks, with genes ranked in parallel on `threads` contexts of
+  /// `pool` (0 = all of them). Genes are independent, so the result is
+  /// bit-identical to the single-threaded constructor.
+  RankedMatrix(const ExpressionMatrix& matrix, par::ThreadPool& pool,
+               int threads);
+
   std::size_t n_genes() const { return n_genes_; }
   std::size_t n_samples() const { return n_samples_; }
 
@@ -62,6 +72,9 @@ class RankedMatrix {
   const std::vector<std::string>& gene_names() const { return gene_names_; }
 
  private:
+  void rank_rows(const ExpressionMatrix& matrix, std::size_t first,
+                 std::size_t last);
+
   std::size_t n_genes_ = 0;
   std::size_t n_samples_ = 0;
   std::size_t stride_ = 0;

@@ -171,14 +171,27 @@ inline F32x16 neg_xlogx(F32x16 p) {
 #endif  // __AVX512F__
 
 /// Sum of -p*log(p) over `count` floats (any alignment, any count).
-/// Uses the widest available vector path with a scalar tail.
+/// The partial sums follow one fixed layout whatever the native width —
+/// cell i feeds lane i % 16, and the 16 lanes are reduced in a fixed
+/// pairwise order — so builds whose vector log is fused (AVX2, AVX-512)
+/// return the same bits. A scalar tail covers count % 16 cells.
 inline double entropy_sum(const float* p, std::size_t count) {
   using V = NativeF32;
+  constexpr std::size_t kLanes = 16;
   constexpr std::size_t W = static_cast<std::size_t>(V::width);
-  V acc = V::zero();
+  static_assert(kLanes % W == 0);
+  constexpr std::size_t R = kLanes / W;  // vectors per 16 cells
+  V acc[R];
+  for (std::size_t r = 0; r < R; ++r) acc[r] = V::zero();
   std::size_t i = 0;
-  for (; i + W <= count; i += W) acc = acc + neg_xlogx(V::loadu(p + i));
-  double total = acc.reduce_add();
+  for (; i + kLanes <= count; i += kLanes)
+    for (std::size_t r = 0; r < R; ++r)
+      acc[r] = acc[r] + neg_xlogx(V::loadu(p + i + r * W));
+  float lanes[kLanes];
+  for (std::size_t r = 0; r < R; ++r) acc[r].storeu(lanes + r * W);
+  for (std::size_t half = kLanes / 2; half >= 1; half /= 2)
+    for (std::size_t l = 0; l < half; ++l) lanes[l] += lanes[l + half];
+  double total = lanes[0];
   for (; i < count; ++i) total += neg_xlogx(p[i]);
   return total;
 }

@@ -9,13 +9,15 @@ namespace tinge {
 ArgParser& ArgParser::add(const std::string& name, const std::string& help,
                           const std::string& default_value) {
   if (options_.count(name) == 0) declared_order_.push_back(name);
-  options_[name] = Option{help, default_value, /*is_flag=*/false, /*seen=*/false};
+  options_[name] = Option{help, default_value, default_value,
+                          /*is_flag=*/false, /*seen=*/false};
   return *this;
 }
 
 ArgParser& ArgParser::add_flag(const std::string& name, const std::string& help) {
   if (options_.count(name) == 0) declared_order_.push_back(name);
-  options_[name] = Option{help, "false", /*is_flag=*/true, /*seen=*/false};
+  options_[name] = Option{help, "false", "false", /*is_flag=*/true,
+                          /*seen=*/false};
   return *this;
 }
 
@@ -89,7 +91,9 @@ std::string ArgParser::usage(const std::string& program,
   for (const auto& name : declared_order_) {
     const Option& opt = options_.at(name);
     out += "  --" + name;
-    if (!opt.is_flag) out += "=<" + (opt.value.empty() ? "value" : opt.value) + ">";
+    if (!opt.is_flag)
+      out += "=<" +
+             (opt.default_value.empty() ? "value" : opt.default_value) + ">";
     out += "\n      " + opt.help + "\n";
   }
   return out;

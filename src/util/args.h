@@ -34,13 +34,15 @@ class ArgParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Human-readable usage text built from the declared options.
+  /// Human-readable usage text built from the declared options. Each
+  /// option shows its declared default, whatever parse() has set since.
   std::string usage(const std::string& program, const std::string& summary) const;
 
  private:
   struct Option {
     std::string help;
     std::string value;
+    std::string default_value;
     bool is_flag = false;
     bool seen = false;
   };

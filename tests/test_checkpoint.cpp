@@ -8,6 +8,7 @@
 
 #include "core/checkpoint.h"
 #include "core/mi_engine.h"
+#include "core/pair_statistic.h"
 #include "data/tsv_io.h"
 #include "stats/rng.h"
 
@@ -285,6 +286,96 @@ TEST_F(EngineCheckpointFixture, MismatchedCheckpointIsIgnored) {
   const GeneNetwork expected = engine.compute_network(0.2, config(), pool);
   EXPECT_EQ(network.n_edges(), expected.n_edges());
   for (const Edge& e : network.edges()) EXPECT_LT(e.weight, 10.0f);
+}
+
+/// Writes a version 2 journal field by field: magic, version, the 48-byte
+/// signature (estimator, then the zero slot version 3 uses for the
+/// accumulation order) and one record.
+void write_v2_journal(const std::string& path, std::uint64_t n_genes,
+                      std::uint64_t n_samples, std::uint64_t tile,
+                      double threshold, EstimatorKind estimator,
+                      std::uint32_t order = 3) {
+  std::ofstream out(path, std::ios::binary);
+  out.write("TNGC", 4);
+  const std::uint32_t version = 2;
+  out.write(reinterpret_cast<const char*>(&version), 4);
+  const std::uint32_t bins = 10;
+  const auto kind = static_cast<std::uint32_t>(estimator);
+  const std::uint32_t zero = 0;
+  out.write(reinterpret_cast<const char*>(&n_genes), 8);
+  out.write(reinterpret_cast<const char*>(&n_samples), 8);
+  out.write(reinterpret_cast<const char*>(&tile), 8);
+  out.write(reinterpret_cast<const char*>(&bins), 4);
+  out.write(reinterpret_cast<const char*>(&order), 4);
+  out.write(reinterpret_cast<const char*>(&threshold), 8);
+  out.write(reinterpret_cast<const char*>(&kind), 4);
+  out.write(reinterpret_cast<const char*>(&zero), 4);
+  const std::uint64_t tile_index = 0;
+  const std::uint32_t edge_count = 1, u = 0, v = 1;
+  const float weight = 99.0f;
+  out.write(reinterpret_cast<const char*>(&tile_index), 8);
+  out.write(reinterpret_cast<const char*>(&edge_count), 4);
+  out.write(reinterpret_cast<const char*>(&u), 4);
+  out.write(reinterpret_cast<const char*>(&v), 4);
+  out.write(reinterpret_cast<const char*>(&weight), 4);
+}
+
+TEST_F(CheckpointFixture, Version3JournalsRecordTheAccumulationOrder) {
+  { CheckpointWriter writer(path("v3.ckpt"), test_signature()); }
+  const CheckpointState state = load_checkpoint(path("v3.ckpt"));
+  EXPECT_EQ(state.version, kCheckpointVersion);
+  EXPECT_EQ(state.version, 3u);
+  EXPECT_EQ(state.accumulation, kAccumulationOrder);
+  EXPECT_EQ(state.signature, test_signature());
+
+  write_v2_journal(path("v2.ckpt"), 100, 64, 16, 0.25,
+                   EstimatorKind::Bspline);
+  const CheckpointState old = load_checkpoint(path("v2.ckpt"));
+  EXPECT_EQ(old.version, 2u);
+  EXPECT_EQ(old.accumulation, 0u);
+  EXPECT_EQ(old.signature, test_signature());
+}
+
+TEST_F(EngineCheckpointFixture, Version2BsplineJournalIsRefused) {
+  // A journal of this very run (same genes, samples, tiles, threshold and
+  // estimator) from the sample-order kernels: its values differ from this
+  // build's in the last bits, so resuming it would mix two arithmetics.
+  const double threshold = 0.2;
+  write_v2_journal(path("old.ckpt"), kGenes, kSamples, 6, threshold,
+                   EstimatorKind::Bspline);
+  const MiEngine engine(estimator_, ranked_);
+  par::ThreadPool pool(2);
+  try {
+    engine.compute_network_checkpointed(threshold, config(), pool,
+                                        path("old.ckpt"));
+    FAIL() << "a version 2 B-spline journal resumed";
+  } catch (const ContractViolation& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+  }
+  // The refused journal is left for the operator, untouched.
+  EXPECT_EQ(load_checkpoint(path("old.ckpt")).version, 2u);
+}
+
+TEST_F(EngineCheckpointFixture, Version2JournalOfAnotherStatisticStillResumes) {
+  // Only B-spline arithmetic changed order: a version 2 journal of a
+  // statistic without the B-spline kernel resumes as before.
+  const double threshold = 0.05;
+  TingeConfig cfg = config();
+  cfg.estimator = EstimatorKind::Histogram;
+  const std::unique_ptr<PairStatistic> statistic =
+      make_pair_statistic(cfg, ranked_);
+  const MiEngine engine(*statistic, ranked_);
+  par::ThreadPool pool(2);
+  write_v2_journal(path("hist.ckpt"), kGenes, kSamples, 6, threshold,
+                   EstimatorKind::Histogram, statistic->signature_order());
+  EngineStats stats;
+  const GeneNetwork resumed = engine.compute_network_checkpointed(
+      threshold, cfg, pool, path("hist.ckpt"), &stats);
+  EXPECT_EQ(stats.tiles_resumed, 1u);
+  EXPECT_GT(resumed.n_edges(), 0u);
+  EXPECT_EQ(resumed.edge_weight(0, 1), 99.0f);  // the journaled record
 }
 
 }  // namespace

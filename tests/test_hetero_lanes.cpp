@@ -337,7 +337,7 @@ TEST_P(HeteroLanesTest, LaneRunsAreByteIdenticalToFlat) {
                              kThreshold, config("simd:2,scalar:2"), pool));
   expect_identical(
       flat, engine.compute_network(kThreshold,
-                                   config("simd:2,unrolled:1,scalar:1"), pool));
+                                   config("simd:2,auto:1,scalar:1"), pool));
 
   // Repeat runs of the same lane config stay stable (the scheduler is
   // adaptive; the results must not be).

@@ -1,9 +1,11 @@
-// Kernel equivalence and correctness: every optimized kernel variant must
-// agree with the double-precision reference on random rank profiles, for
-// every supported (bins, order) shape.
+// Kernel equivalence and correctness: every kernel name (the two kernels
+// and the legacy aliases) must agree with the double-precision reference on
+// random rank profiles, for every supported (bins, order) shape.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "mi/bspline_kernels.h"
@@ -156,28 +158,40 @@ TEST(KernelNames, AreStable) {
   EXPECT_STREQ(kernel_name(MiKernel::Auto), "auto");
 }
 
-TEST(KernelResolve, AutoPicksReplicatedForSmallOrders) {
-  EXPECT_EQ(resolve_kernel(MiKernel::Auto, 3), MiKernel::Replicated);
-  EXPECT_EQ(resolve_kernel(MiKernel::Auto, 4), MiKernel::Replicated);
-  EXPECT_EQ(resolve_kernel(MiKernel::Auto, 5), MiKernel::Simd);
-  EXPECT_EQ(resolve_kernel(MiKernel::Scalar, 3), MiKernel::Scalar);
+TEST(KernelResolve, AutoIsTheVectorKernel) {
+  // Auto is resolved statically: the vector kernel wherever it can run.
+  const MiKernel vector =
+      vector_kernel_available() ? MiKernel::Simd : MiKernel::Scalar;
+  EXPECT_EQ(resolve_kernel(MiKernel::Auto, 10), vector);
+  EXPECT_EQ(resolve_kernel(MiKernel::Simd, 32), vector);
+  EXPECT_EQ(resolve_kernel(MiKernel::Scalar, 10), MiKernel::Scalar);
+  // More bins than the expanded rows hold run the scalar reference.
+  EXPECT_EQ(resolve_kernel(MiKernel::Auto, 33), MiKernel::Scalar);
+  // The legacy names map onto the two kernels.
+  EXPECT_EQ(resolve_kernel(MiKernel::Unrolled, 10), MiKernel::Scalar);
+  EXPECT_EQ(resolve_kernel(MiKernel::Replicated, 10), vector);
+  EXPECT_EQ(resolve_kernel(MiKernel::Gather512, 10), vector);
 }
 
-TEST(KernelResolve, Gather512FallsBackWhenUnsupported) {
-  // High orders exceed the 4-float weight row the gather kernel packs.
-  EXPECT_EQ(resolve_kernel(MiKernel::Gather512, 6), MiKernel::Replicated);
-  if (gather512_available()) {
-    EXPECT_EQ(resolve_kernel(MiKernel::Gather512, 3), MiKernel::Gather512);
-  } else {
-    EXPECT_EQ(resolve_kernel(MiKernel::Gather512, 3), MiKernel::Replicated);
+TEST(KernelResolve, ParsesOnlyTheThreeKernelNames) {
+  EXPECT_EQ(parse_kernel("auto"), MiKernel::Auto);
+  EXPECT_EQ(parse_kernel("simd"), MiKernel::Simd);
+  EXPECT_EQ(parse_kernel("scalar"), MiKernel::Scalar);
+  for (const char* gone : {"unrolled", "replicated", "gather512", "fast"}) {
+    try {
+      parse_kernel(gone);
+      ADD_FAILURE() << gone << " parsed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("auto|simd|scalar"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 
 TEST(KernelGather512, ExactlyMatchesReplicatedUpToSummationOrder) {
-  // Both kernels accumulate the same patches into the same replica layout
-  // (gather groups of 4 vs round-robin j&3), so per-cell sums agree to
-  // float rounding and entropies agree tightly.
-  const std::size_t m = 515;  // deliberately not a multiple of 4 (tail path)
+  // Both legacy names alias the vector kernel, so they agree exactly.
+  const std::size_t m = 515;  // not a multiple of any vector width
   const BsplineMi estimator(12, 3, m);
   JointHistogram scratch = estimator.make_scratch();
   Xoshiro256 rng(3);
@@ -187,7 +201,7 @@ TEST(KernelGather512, ExactlyMatchesReplicatedUpToSummationOrder) {
       estimator.joint_entropy(rx, ry, scratch, MiKernel::Replicated);
   const double h_gather =
       estimator.joint_entropy(rx, ry, scratch, MiKernel::Gather512);
-  EXPECT_NEAR(h_rep, h_gather, 1e-5);
+  EXPECT_EQ(h_rep, h_gather);
 }
 
 TEST(KernelContracts, RejectsWrongSampleCount) {

@@ -77,17 +77,13 @@ TEST_F(EstimatorBsplineFixture, EvalPanelMatchesPerPairBitwise) {
   TingeConfig config;
   const PanelPlan plan = statistic_.plan(config);
   ASSERT_GE(plan.width, 1);
-  PanelOptions options;
-  options.kernel = plan.kernel;
-  options.prefetch = plan.prefetch;
-  options.packed = plan.packed;
   const std::size_t width =
       std::min<std::size_t>(static_cast<std::size_t>(plan.width), kGenes - 1);
   const std::uint32_t* ys[8] = {};
   for (std::size_t p = 0; p < width; ++p)
     ys[p] = ranked_.ranks(1 + p).data();
   double out[8] = {};
-  statistic_.eval_panel(ranked_.ranks(0).data(), ys, width, 0, 1, options,
+  statistic_.eval_panel(ranked_.ranks(0).data(), ys, width, 0, 1, plan.kernel,
                         *scratch, out);
   for (std::size_t p = 0; p < width; ++p) {
     const double expected = statistic_.eval_pair(

@@ -1,7 +1,8 @@
-// Panel (row-reuse) kernel equivalence: joint_entropy_panel must reproduce
-// the per-pair joint_entropy bit-identically for the matching kernel, across
-// every supported shape, panel width, and ragged tail; and the engine's
-// panel-swept network must equal a per-pair recomputation exactly.
+// Panel (row-reuse) kernel equivalence: the vector kernel must reproduce
+// the scalar reference bit for bit, per pair and in panels of every width,
+// over uint32 and uint16 rank rows, across every supported shape and ragged
+// tail; and the engine's panel-swept network must equal a per-pair
+// recomputation exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,9 +25,9 @@ std::vector<std::uint32_t> random_ranks(std::size_t m, std::uint64_t seed) {
   return random_permutation(m, rng);
 }
 
-// bins x order x panel width x samples. Orders cover the full 1..8 ladder
-// (both the 4-float and 8-float padded weight rows); m values are chosen so
-// neither is a multiple of the vector or panel width (ragged tails).
+// bins x order x panel width x samples. Orders cover the full 1..8 range,
+// bins one and two vectors per histogram row; m values are chosen so none
+// is a multiple of a vector or panel width, including m below one vector.
 class PanelEquivalence
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
@@ -38,54 +39,43 @@ TEST_P(PanelEquivalence, BitIdenticalToPerPairKernels) {
   JointHistogram scratch = estimator.make_scratch();
 
   const auto rx = random_ranks(m, 4242);
+  const std::vector<std::uint16_t> rx16(rx.begin(), rx.end());
   std::vector<std::vector<std::uint32_t>> ys;
+  std::vector<std::vector<std::uint16_t>> ys16;
   const std::uint32_t* ry[kMaxPanelWidth];
+  const std::uint16_t* ry16[kMaxPanelWidth];
   for (std::size_t p = 0; p < width; ++p) {
     ys.push_back(random_ranks(m, 100 + p));
-    ry[p] = ys.back().data();
+    ys16.emplace_back(ys.back().begin(), ys.back().end());
+  }
+  for (std::size_t p = 0; p < width; ++p) {
+    ry[p] = ys[p].data();
+    ry16[p] = ys16[p].data();
   }
 
-  // Per-pair references, one per kernel family.
-  std::vector<double> pair_scalar(width), pair_unrolled(width),
-      pair_simd(width);
-  for (std::size_t p = 0; p < width; ++p) {
-    pair_scalar[p] = tinge::joint_entropy(estimator.table(), rx.data(), ry[p],
-                                          m, scratch, MiKernel::Scalar);
-    pair_unrolled[p] = tinge::joint_entropy(estimator.table(), rx.data(),
-                                            ry[p], m, scratch,
-                                            MiKernel::Unrolled);
-    pair_simd[p] = tinge::joint_entropy(estimator.table(), rx.data(), ry[p],
-                                        m, scratch, MiKernel::Simd);
-  }
+  // The oracle: the scalar reference, one pair at a time.
+  std::vector<double> reference(width);
+  for (std::size_t p = 0; p < width; ++p)
+    reference[p] = tinge::joint_entropy(estimator.table(), rx.data(), ry[p], m,
+                                        scratch, MiKernel::Scalar);
 
   double panel[kMaxPanelWidth];
-
-  joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
-                      MiKernel::Scalar, panel);
-  for (std::size_t p = 0; p < width; ++p)
-    EXPECT_EQ(panel[p], pair_scalar[p]) << "scalar panel, member " << p;
-
-  joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
-                      MiKernel::Unrolled, panel);
-  for (std::size_t p = 0; p < width; ++p)
-    EXPECT_EQ(panel[p], pair_unrolled[p]) << "unrolled panel, member " << p;
-
-  joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
-                      MiKernel::Simd, panel);
-  for (std::size_t p = 0; p < width; ++p)
-    EXPECT_EQ(panel[p], pair_simd[p]) << "simd panel, member " << p;
-
-  // Replicated and Auto map onto the panel FMA-SIMD accumulation order.
-  joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
-                      MiKernel::Replicated, panel);
-  for (std::size_t p = 0; p < width; ++p)
-    EXPECT_EQ(panel[p], pair_simd[p]) << "replicated panel, member " << p;
-
-  if (gather512_available() && order <= 4) {
-    joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
-                        MiKernel::Gather512, panel);
+  for (const MiKernel kernel : {MiKernel::Scalar, MiKernel::Simd}) {
     for (std::size_t p = 0; p < width; ++p)
-      EXPECT_EQ(panel[p], pair_simd[p]) << "gather512 panel, member " << p;
+      EXPECT_EQ(tinge::joint_entropy(estimator.table(), rx.data(), ry[p], m,
+                                     scratch, kernel),
+                reference[p])
+          << kernel_name(kernel) << " pair, member " << p;
+    joint_entropy_panel(estimator.table(), rx.data(), ry, width, m, scratch,
+                        kernel, panel);
+    for (std::size_t p = 0; p < width; ++p)
+      EXPECT_EQ(panel[p], reference[p])
+          << kernel_name(kernel) << " u32 panel, member " << p;
+    joint_entropy_panel(estimator.table(), rx16.data(), ry16, width, m,
+                        scratch, kernel, panel);
+    for (std::size_t p = 0; p < width; ++p)
+      EXPECT_EQ(panel[p], reference[p])
+          << kernel_name(kernel) << " u16 panel, member " << p;
   }
 }
 
@@ -115,10 +105,10 @@ TEST_P(PanelEquivalence, MatchesDoublePrecisionReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Panels, PanelEquivalence,
-    ::testing::Combine(::testing::Values(9, 12, 16),        // bins
-                       ::testing::Values(1, 2, 3, 4, 5, 6, 8),  // order
+    ::testing::Combine(::testing::Values(9, 12, 16, 30),    // bins
+                       ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),  // order
                        ::testing::Values(1, 3, 4, 8),       // panel width B
-                       ::testing::Values(97, 333)),         // samples (ragged)
+                       ::testing::Values(13, 97, 333)),     // samples (ragged)
     [](const auto& param_info) {
       return "b" + std::to_string(std::get<0>(param_info.param)) + "_k" +
              std::to_string(std::get<1>(param_info.param)) + "_B" +
@@ -130,12 +120,12 @@ TEST(PanelScratch, CarriesEnoughRegionsForAnyPanel) {
   const BsplineMi estimator(10, 3, 64);
   const JointHistogram scratch = estimator.make_scratch();
   EXPECT_GE(scratch.replicas(), kMaxPanelWidth);
-  EXPECT_GE(scratch.replicas(), kHistogramReplicas);
 }
 
 TEST(PanelScratch, PanelAndPairCallsInterleaveSafely) {
-  // Per-pair kernels clear only the regions they use; a panel call must not
-  // poison a following per-pair call and vice versa.
+  // Calls rewrite only the regions they use, and the row-order memo must
+  // follow the rank row passed in: a panel call must not poison a
+  // following per-pair call and vice versa.
   const std::size_t m = 128;
   const BsplineMi estimator(10, 3, m);
   JointHistogram scratch = estimator.make_scratch();
@@ -170,40 +160,6 @@ TEST(PanelPolicy, AutoWidthIsInRangeAndShrinksWithBins) {
   EXPECT_EQ(w_small, kMaxPanelWidth);
   const WeightTable big(64, BsplineBasis(30, 3));
   EXPECT_LE(auto_panel_width(big), w_small);
-}
-
-TEST(PanelPolicy, PanelResolutionLadder) {
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Scalar, 3), MiKernel::Scalar);
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Unrolled, 3), MiKernel::Unrolled);
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Simd, 3), MiKernel::Simd);
-  // Panel interleaving replaces histogram replication.
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Replicated, 3), MiKernel::Simd);
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Auto, 3), MiKernel::Simd);
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Auto, 6), MiKernel::Simd);
-  // Gather512 runs only where the per-pair kernel would (ISA + order gate).
-  if (gather512_available()) {
-    EXPECT_EQ(resolve_panel_kernel(MiKernel::Gather512, 3),
-              MiKernel::Gather512);
-  } else {
-    EXPECT_EQ(resolve_panel_kernel(MiKernel::Gather512, 3), MiKernel::Simd);
-  }
-  EXPECT_EQ(resolve_panel_kernel(MiKernel::Gather512, 6), MiKernel::Simd);
-}
-
-TEST(PanelPolicy, MeasuredAutoPicksAConcreteEligibleKernel) {
-  const WeightTable table(256, BsplineBasis(10, 3));
-  const MiKernel pair = resolve_kernel_measured(MiKernel::Auto, table, 1);
-  EXPECT_TRUE(pair == MiKernel::Replicated || pair == MiKernel::Gather512);
-  if (!gather512_available()) EXPECT_EQ(pair, MiKernel::Replicated);
-  const MiKernel panel = resolve_kernel_measured(MiKernel::Auto, table, 8);
-  EXPECT_TRUE(panel == MiKernel::Simd || panel == MiKernel::Gather512);
-  // Explicit kernels pass through untouched (the config override).
-  EXPECT_EQ(resolve_kernel_measured(MiKernel::Scalar, table, 8),
-            MiKernel::Scalar);
-  EXPECT_EQ(resolve_kernel_measured(MiKernel::Gather512, table, 1),
-            MiKernel::Gather512);
-  // One-shot: the verdict is cached and stable within a process.
-  EXPECT_EQ(panel, resolve_kernel_measured(MiKernel::Auto, table, 8));
 }
 
 // ---- engine determinism: panel sweep vs per-pair seed path -----------------

@@ -1,6 +1,5 @@
-// The memory-side panel knobs (bspline_kernels.h) are all claimed to be
-// bit-identical: uint16 rank staging, the packed weight table, software
-// prefetch and NUMA-aware tile scheduling change where bytes come from (or
+// The memory-side knobs are all claimed to be bit-identical: uint16 rank
+// staging and NUMA-aware tile scheduling change where bytes come from (or
 // which thread claims which tile), never which floats are multiplied in
 // which order. These tests enforce that claim at every layer — raw panel
 // kernels, the engine, the cluster ring sweep and the NUMA scheduler.
@@ -77,7 +76,7 @@ TEST(StagedRankMatrix, BoundarySamplesCountStagesAndRoundTrips) {
   }
 }
 
-// ---- raw panel kernels: uint16 == uint32, every variant x knob combo -------
+// ---- raw panel kernels: uint16 == uint32 == the scalar reference ---------
 
 class PanelKnobIdentity : public ::testing::TestWithParam<MiKernel> {
  protected:
@@ -109,27 +108,16 @@ TEST_P(PanelKnobIdentity, EveryKnobComboIsBitIdenticalToBaseline) {
       ry16[p] = staged_.row(1 + p);
     }
 
-    const PanelOptions base{kernel, /*prefetch=*/false, /*packed=*/false};
     joint_entropy_panel(estimator_.table(), ranked_.ranks(0).data(), ry32,
-                        width, kSamples, scratch, base, baseline);
-
-    for (const bool prefetch : {false, true}) {
-      for (const bool packed : {false, true}) {
-        const PanelOptions options{kernel, prefetch, packed};
-        joint_entropy_panel(estimator_.table(), ranked_.ranks(0).data(), ry32,
-                            width, kSamples, scratch, options, probe);
-        for (std::size_t p = 0; p < width; ++p)
-          EXPECT_EQ(probe[p], baseline[p])
-              << "u32 width=" << width << " prefetch=" << prefetch
-              << " packed=" << packed;
-        joint_entropy_panel(estimator_.table(), staged_.row(0), ry16, width,
-                            kSamples, scratch, options, probe);
-        for (std::size_t p = 0; p < width; ++p)
-          EXPECT_EQ(probe[p], baseline[p])
-              << "u16 width=" << width << " prefetch=" << prefetch
-              << " packed=" << packed;
-      }
-    }
+                        width, kSamples, scratch, MiKernel::Scalar, baseline);
+    joint_entropy_panel(estimator_.table(), ranked_.ranks(0).data(), ry32,
+                        width, kSamples, scratch, kernel, probe);
+    for (std::size_t p = 0; p < width; ++p)
+      EXPECT_EQ(probe[p], baseline[p]) << "u32 width=" << width;
+    joint_entropy_panel(estimator_.table(), staged_.row(0), ry16, width,
+                        kSamples, scratch, kernel, probe);
+    for (std::size_t p = 0; p < width; ++p)
+      EXPECT_EQ(probe[p], baseline[p]) << "u16 width=" << width;
   }
 }
 

@@ -211,6 +211,18 @@ TEST(ArgParser, UsageListsOptions) {
   EXPECT_NE(usage.find("number of genes"), std::string::npos);
 }
 
+TEST(ArgParser, UsageShowsDeclaredDefaultsAfterParse) {
+  ArgParser parser;
+  parser.add("synthetic", "genes to synthesize", "0").add("out", "output path");
+  const char* argv[] = {"prog", "--synthetic=60", "--out=net.tsv"};
+  parser.parse(3, argv);
+  EXPECT_EQ(parser.get("synthetic"), "60");
+  const std::string usage = parser.usage("prog", "Does things.");
+  EXPECT_NE(usage.find("--synthetic=<0>"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("<60>"), std::string::npos) << usage;
+  EXPECT_NE(usage.find("--out=<value>"), std::string::npos) << usage;
+}
+
 // ---- tables -------------------------------------------------------------------
 
 TEST(Table, RendersAlignedColumns) {
