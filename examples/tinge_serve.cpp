@@ -78,6 +78,10 @@ int main(int argc, char** argv) {
         "(%zu/%zu tiles restored from checkpoint)\n",
         state.network().n_edges(), state.threshold(), build.kernel,
         build.tiles_resumed, build.tiles);
+    if (config.apply_dpi)
+      std::printf("dpi: %zu triangles, %zu edges removed\n",
+                  state.dpi_stats().triangles_examined,
+                  state.dpi_stats().edges_removed);
 
     cluster::ServeServer server(state, options);
     std::printf("serving on 127.0.0.1:%d (cache %zu MiB, flush %.1f ms)\n",

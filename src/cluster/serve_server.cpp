@@ -51,8 +51,8 @@ ServeState::ServeState(ExpressionMatrix&& expression,
 
   // The build below runs the single-process pipeline stages in exactly the
   // order sharded_build's p == 1 path does — impute, filter, rank,
-  // statistic, null, threshold, sweep — so everything the daemon serves is
-  // bit-identical to what the batch pipeline would have written.
+  // statistic, null, threshold, sweep, DPI — so everything the daemon serves
+  // is bit-identical to what the batch pipeline would have written.
   impute_missing_with_median(working_);
   {
     FilterResult filtered = filter_genes(working_, config_.filter);
@@ -86,6 +86,9 @@ ServeState::ServeState(ExpressionMatrix&& expression,
         threshold_, config_, *pool_, config_.checkpoint_path, &build_stats_,
         {}, /*keep_checkpoint=*/true);
   }
+  if (config_.apply_dpi)
+    network_ = apply_dpi(network_, config_.dpi_tolerance, &dpi_stats_,
+                         *pool_, config_.threads);
   adjacency_ = std::make_unique<Adjacency>(network_);
 
   primary.engine = std::make_unique<MiQueryEngine>(

@@ -40,6 +40,7 @@
 
 #include "cluster/serve_protocol.h"
 #include "core/config.h"
+#include "core/dpi.h"
 #include "core/mi_engine.h"
 #include "core/mi_query.h"
 #include "core/null_distribution.h"
@@ -81,9 +82,10 @@ struct ServeOptions {
 class ServeState {
  public:
   /// Runs the single-process pipeline stages (impute, filter, rank,
-  /// statistic, null, threshold, sweep) exactly as sharded_build's p == 1
-  /// path does — same stage order, same calls — so every value the daemon
-  /// later serves is bit-identical to the batch pipeline for this config.
+  /// statistic, null, threshold, sweep, and DPI when config.apply_dpi)
+  /// exactly as sharded_build's p == 1 path does — same stage order, same
+  /// calls — so every value the daemon later serves is bit-identical to the
+  /// batch pipeline for this config.
   /// When config.checkpoint_path is set the sweep runs checkpointed with
   /// keep_checkpoint, so a completed journal from a previous run (or a
   /// crashed one) restores / resumes the network instead of recomputing.
@@ -96,6 +98,7 @@ class ServeState {
   const RankedMatrix& ranked() const { return ranked_; }
   double threshold() const { return threshold_; }
   const EngineStats& build_stats() const { return build_stats_; }
+  const DpiStats& dpi_stats() const { return dpi_stats_; }
   TileCache& cache() { return cache_; }
   par::ThreadPool& pool() { return *pool_; }
   std::size_t n_genes() const { return ranked_.n_genes(); }
@@ -120,6 +123,7 @@ class ServeState {
   GeneNetwork network_;
   std::unique_ptr<Adjacency> adjacency_;
   EngineStats build_stats_;
+  DpiStats dpi_stats_;
   TileCache cache_;
   std::string dataset_id_;
 

@@ -113,8 +113,8 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
   ShardedBuildResult result;
   result.genes_in = expression.n_genes();
 
-  // The null build and the p == 1 engine sweep share one pool: the
-  // caller's when grafted, otherwise one created on first use.
+  // The pool-parallel stages (p == 1 rank, null, p == 1 sweep, DPI) share
+  // one pool: the caller's when grafted, otherwise one created on first use.
   std::unique_ptr<par::ThreadPool> owned_pool;
   const auto ensure_pool = [&]() -> par::ThreadPool& {
     if (hooks.pool != nullptr) return *hooks.pool;
@@ -296,8 +296,9 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
   // Stage 5: DPI on the merged network (rank 0 only).
   if (r == 0 && config.apply_dpi) {
     const OptionalSpan span(hooks.trace, "dpi");
-    result.network =
-        apply_dpi(result.network, config.dpi_tolerance, &result.dpi_stats);
+    result.network = apply_dpi(result.network, config.dpi_tolerance,
+                               &result.dpi_stats, ensure_pool(),
+                               config.threads);
     if (hooks.log)
       hooks.log(strprintf("dpi: %zu triangles, %zu edges removed, %zu edges "
                           "remain",

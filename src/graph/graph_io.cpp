@@ -1,22 +1,56 @@
 #include "graph/graph_io.h"
 
 #include <array>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "data/tsv_io.h"  // IoError
+#include "util/contracts.h"
 #include "util/str.h"
 
 namespace tinge {
 
+namespace {
+
+// Edge rows are formatted into a string that goes to the stream each time
+// it passes 64 KiB. std::to_chars in general format at precision p writes
+// the bytes printf's "%.<p>g" does, without a temporary string per number.
+constexpr std::size_t kRowFlushBytes = std::size_t(1) << 16;
+
+void append_general(std::string& rows, double value, int precision) {
+  char text[32];  // the longest "%.9g" of a double has 16 characters
+  const auto [end, error] = std::to_chars(
+      text, text + sizeof(text), value, std::chars_format::general, precision);
+  TINGE_ASSERT(error == std::errc());
+  rows.append(text, end);
+}
+
+void write_rows(std::string& rows, std::ostream& out) {
+  out.write(rows.data(), static_cast<std::streamsize>(rows.size()));
+  rows.clear();
+}
+
+void end_row(std::string& rows, std::ostream& out) {
+  rows += '\n';
+  if (rows.size() >= kRowFlushBytes) write_rows(rows, out);
+}
+
+}  // namespace
+
 void write_edge_list(const GeneNetwork& network, std::ostream& out) {
   out << "# nodes: " << network.n_nodes() << '\n';
   for (const auto& name : network.node_names()) out << "# node\t" << name << '\n';
+  const auto& names = network.node_names();
+  std::string rows;
   for (const Edge& e : network.edges()) {
-    out << network.node_names()[e.u] << '\t' << network.node_names()[e.v] << '\t'
-        << strprintf("%.9g", static_cast<double>(e.weight)) << '\n';
+    rows.append(names[e.u]) += '\t';
+    rows.append(names[e.v]) += '\t';
+    append_general(rows, static_cast<double>(e.weight), 9);
+    end_row(rows, out);
   }
+  write_rows(rows, out);
 }
 
 void write_edge_list_file(const GeneNetwork& network, const std::string& path) {
@@ -85,11 +119,17 @@ void write_edge_list_with_pvalues(
   out << "# nodes: " << network.n_nodes() << '\n';
   for (const auto& name : network.node_names()) out << "# node\t" << name << '\n';
   out << "# columns: gene_a\tgene_b\tmi_nats\tnull_p_value\n";
+  const auto& names = network.node_names();
+  std::string rows;
   for (const Edge& e : network.edges()) {
-    out << network.node_names()[e.u] << '\t' << network.node_names()[e.v]
-        << '\t' << strprintf("%.9g", static_cast<double>(e.weight)) << '\t'
-        << strprintf("%.3g", null_p_value(e.weight)) << '\n';
+    rows.append(names[e.u]) += '\t';
+    rows.append(names[e.v]) += '\t';
+    append_general(rows, static_cast<double>(e.weight), 9);
+    rows += '\t';
+    append_general(rows, null_p_value(e.weight), 3);
+    end_row(rows, out);
   }
+  write_rows(rows, out);
 }
 
 void write_edge_list_with_pvalues_file(

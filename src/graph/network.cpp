@@ -74,6 +74,19 @@ GeneNetwork GeneNetwork::thresholded(float threshold) const {
   return out;
 }
 
+GeneNetwork GeneNetwork::without_edges(
+    std::span<const std::uint8_t> drop) const {
+  TINGE_EXPECTS(finalized_);
+  TINGE_EXPECTS(drop.size() == edges_.size());
+  GeneNetwork out(node_names_);
+  out.edges_.reserve(static_cast<std::size_t>(
+      std::count(drop.begin(), drop.end(), std::uint8_t{0})));
+  for (std::size_t i = 0; i < edges_.size(); ++i)
+    if (drop[i] == 0) out.edges_.push_back(edges_[i]);
+  out.finalized_ = true;  // a subsequence of a sorted, duplicate-free list
+  return out;
+}
+
 Adjacency::Adjacency(const GeneNetwork& network) {
   TINGE_EXPECTS(network.finalized());
   const std::size_t n = network.n_nodes();

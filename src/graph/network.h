@@ -57,6 +57,10 @@ class GeneNetwork {
   /// New network containing only edges with weight >= threshold.
   GeneNetwork thresholded(float threshold) const;
 
+  /// New finalized network without the edges whose `drop` byte is nonzero
+  /// (`drop` is indexed like edges()). Requires finalize().
+  GeneNetwork without_edges(std::span<const std::uint8_t> drop) const;
+
  private:
   std::vector<std::string> node_names_;
   std::vector<Edge> edges_;

@@ -18,13 +18,26 @@ struct JointCounts {
 
   double mi() const {
     const double inv_m = 1.0 / static_cast<double>(m);
+    const auto plogp = [inv_m](double c) {
+      return c > 0 ? c * inv_m * std::log(c * inv_m) : 0.0;
+    };
     double h_x = 0.0, h_y = 0.0, h_xy = 0.0;
     for (const double c : px)
       if (c > 0) h_x -= c * inv_m * std::log(c * inv_m);
     for (const double c : py)
       if (c > 0) h_y -= c * inv_m * std::log(c * inv_m);
-    for (const double c : joint)
-      if (c > 0) h_xy -= c * inv_m * std::log(c * inv_m);
+    // Swapping the arguments transposes the joint table. Summing the
+    // diagonal, then each cell with its transpose (the smaller count
+    // first), evaluates the same expressions on the same values either
+    // way, so MI(x, y) and MI(y, x) agree bit for bit.
+    const auto b = static_cast<std::size_t>(bins);
+    for (std::size_t i = 0; i < b; ++i) {
+      h_xy -= plogp(joint[i * b + i]);
+      for (std::size_t j = i + 1; j < b; ++j) {
+        const auto [lo, hi] = std::minmax(joint[i * b + j], joint[j * b + i]);
+        h_xy -= plogp(lo) + plogp(hi);
+      }
+    }
     return h_x + h_y - h_xy;
   }
 

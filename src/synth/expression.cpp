@@ -20,7 +20,7 @@ ExpressionMatrix simulate_expression(const Grn& grn,
   std::vector<std::string> names;
   names.reserve(grn.n_genes);
   for (std::size_t g = 0; g < grn.n_genes; ++g)
-    names.push_back("g" + std::to_string(g));
+    names.push_back(std::string("g").append(std::to_string(g)));
   std::vector<std::string> samples;
   samples.reserve(params.n_samples);
   for (std::size_t s = 0; s < params.n_samples; ++s)

@@ -12,7 +12,7 @@ GeneNetwork Grn::to_undirected() const {
   std::vector<std::string> names;
   names.reserve(n_genes);
   for (std::size_t g = 0; g < n_genes; ++g)
-    names.push_back("g" + std::to_string(g));
+    names.push_back(std::string("g").append(std::to_string(g)));
   GeneNetwork network(std::move(names));
   for (const GrnEdge& e : edges)
     network.add_edge(e.regulator, e.target, e.strength);

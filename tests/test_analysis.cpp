@@ -13,7 +13,8 @@ namespace {
 GeneNetwork make_network(std::size_t n,
                          std::initializer_list<std::pair<int, int>> edges) {
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < n; ++i) names.push_back("n" + std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i)
+    names.push_back(std::string("n").append(std::to_string(i)));
   GeneNetwork network(std::move(names));
   for (const auto& [a, b] : edges)
     network.add_edge(static_cast<std::uint32_t>(a),

@@ -145,8 +145,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 5), std::make_tuple(12, 6),
                       std::make_tuple(16, 8)),
     [](const auto& param_info) {
-      return "b" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-             std::to_string(std::get<1>(param_info.param));
+      return std::string("b")
+          .append(std::to_string(std::get<0>(param_info.param)))
+          .append("_k")
+          .append(std::to_string(std::get<1>(param_info.param)));
     });
 
 

@@ -1,12 +1,11 @@
 // Core pipeline components: tiling, universal null distribution, per-pair
-// permutation test, the parallel MI engine, DPI filtering, configuration.
+// permutation test, the parallel MI engine, configuration.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "core/config.h"
-#include "core/dpi.h"
 #include "core/mi_engine.h"
 #include "core/null_distribution.h"
 #include "core/permutation_test.h"
@@ -330,74 +329,6 @@ TEST(MiEngine, RejectsMismatchedEstimator) {
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(10, 3, 64);  // wrong m
   EXPECT_THROW(MiEngine(estimator, ranked), ContractViolation);
-}
-
-// ---- DPI ---------------------------------------------------------------------------
-
-GeneNetwork triangle_network(float w_ab, float w_bc, float w_ac) {
-  GeneNetwork network({"a", "b", "c"});
-  network.add_edge(0, 1, w_ab);
-  network.add_edge(1, 2, w_bc);
-  network.add_edge(0, 2, w_ac);
-  network.finalize();
-  return network;
-}
-
-TEST(Dpi, RemovesWeakestTriangleEdge) {
-  const GeneNetwork network = triangle_network(0.9f, 0.8f, 0.1f);
-  DpiStats stats;
-  const GeneNetwork filtered = apply_dpi(network, 0.0, &stats);
-  EXPECT_EQ(stats.triangles_examined, 1u);
-  EXPECT_EQ(stats.edges_removed, 1u);
-  EXPECT_EQ(filtered.n_edges(), 2u);
-  EXPECT_FALSE(filtered.has_edge(0, 2));
-  EXPECT_TRUE(filtered.has_edge(0, 1));
-  EXPECT_TRUE(filtered.has_edge(1, 2));
-}
-
-TEST(Dpi, ToleranceKeepsBorderlineEdges) {
-  // Weakest edge within 20% of the median edge: survives with tol=0.3.
-  const GeneNetwork network = triangle_network(0.9f, 0.5f, 0.45f);
-  EXPECT_EQ(apply_dpi(network, 0.0).n_edges(), 2u);
-  EXPECT_EQ(apply_dpi(network, 0.3).n_edges(), 3u);
-}
-
-TEST(Dpi, NoTrianglesNothingRemoved) {
-  GeneNetwork network({"a", "b", "c", "d"});
-  network.add_edge(0, 1, 0.9f);
-  network.add_edge(1, 2, 0.1f);
-  network.add_edge(2, 3, 0.5f);
-  network.finalize();
-  DpiStats stats;
-  const GeneNetwork filtered = apply_dpi(network, 0.0, &stats);
-  EXPECT_EQ(stats.triangles_examined, 0u);
-  EXPECT_EQ(filtered.n_edges(), 3u);
-}
-
-TEST(Dpi, ChainWithIndirectEdge) {
-  // True chain a-b-c plus a weaker indirect a-c edge plus unrelated d.
-  GeneNetwork network({"a", "b", "c", "d"});
-  network.add_edge(0, 1, 1.2f);
-  network.add_edge(1, 2, 1.0f);
-  network.add_edge(0, 2, 0.4f);  // indirect
-  network.add_edge(2, 3, 0.7f);
-  network.finalize();
-  const GeneNetwork filtered = apply_dpi(network, 0.1);
-  EXPECT_FALSE(filtered.has_edge(0, 2));
-  EXPECT_TRUE(filtered.has_edge(2, 3));
-  EXPECT_EQ(filtered.n_edges(), 3u);
-}
-
-TEST(Dpi, PreservesNodeNames) {
-  const GeneNetwork network = triangle_network(0.9f, 0.8f, 0.1f);
-  const GeneNetwork filtered = apply_dpi(network, 0.0);
-  EXPECT_EQ(filtered.node_names(), network.node_names());
-}
-
-TEST(Dpi, RequiresFinalizedInput) {
-  GeneNetwork network({"a", "b"});
-  network.add_edge(0, 1, 1.0f);
-  EXPECT_THROW(apply_dpi(network, 0.0), ContractViolation);
 }
 
 // ---- config ---------------------------------------------------------------------

@@ -27,8 +27,8 @@ struct GoldenRow {
 // multiply-add (-march=native on AVX2 or AVX-512 hosts, the reference host
 // included) run the B-spline vector kernel and a fused vector log, and let
 // the compiler contract scalar a*b+c; builds without it (the x86-64
-// baseline, -DTINGEX_NATIVE=OFF) do neither, which moves the B-spline and
-// histogram rows in the last bits. Only the B-spline row runs the B-spline
+// baseline, -DTINGEX_NATIVE=OFF) do neither, which at this seed moves only
+// the B-spline row, in the last bits. Only the B-spline row runs the B-spline
 // kernels (mi/bspline_kernels.h), in the canonical bin-grouped
 // accumulation order; the other five never touch them.
 #if defined(__AVX512F__) || defined(__FMA__)
@@ -39,7 +39,7 @@ constexpr bool kFusedBuild = false;
 
 constexpr GoldenRow kGoldenFused[] = {
     {EstimatorKind::Bspline, 0x3fbd23444b8ba36cULL, 0x9c3d993a59c80b5bULL, 69},
-    {EstimatorKind::Histogram, 0x3fdbd054af189950ULL, 0x887fc228dd0a5043ULL, 34},
+    {EstimatorKind::Histogram, 0x3fdbd054af189930ULL, 0x887fc228dd0a5043ULL, 34},
     {EstimatorKind::Ksg, 0x3fc0465ac62e638cULL, 0x308a613b8c285a2dULL, 43},
     {EstimatorKind::Pearson, 0x3fc7fdb45c787471ULL, 0x531ef3b02ec9f9a0ULL, 182},
     {EstimatorKind::Spearman, 0x3fc7fdb45c787471ULL, 0x8140307548eaad62ULL, 183},
@@ -47,7 +47,7 @@ constexpr GoldenRow kGoldenFused[] = {
 };
 constexpr GoldenRow kGoldenUnfused[] = {
     {EstimatorKind::Bspline, 0x3fbd23444b8ba3acULL, 0x9c3d993a59c80b5bULL, 69},
-    {EstimatorKind::Histogram, 0x3fdbd054af189960ULL, 0x887fc228dd0a5043ULL, 34},
+    {EstimatorKind::Histogram, 0x3fdbd054af189930ULL, 0x887fc228dd0a5043ULL, 34},
     {EstimatorKind::Ksg, 0x3fc0465ac62e638cULL, 0x308a613b8c285a2dULL, 43},
     {EstimatorKind::Pearson, 0x3fc7fdb45c787471ULL, 0x531ef3b02ec9f9a0ULL, 182},
     {EstimatorKind::Spearman, 0x3fc7fdb45c787471ULL, 0x8140307548eaad62ULL, 183},

@@ -2,7 +2,11 @@
 // edge-list/SIF I/O, recovery metrics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <unistd.h>
 
@@ -10,6 +14,8 @@
 #include "graph/graph_io.h"
 #include "graph/metrics.h"
 #include "graph/network.h"
+#include "stats/rng.h"
+#include "util/str.h"
 
 namespace tinge {
 namespace {
@@ -130,6 +136,68 @@ TEST(GraphIo, RejectsMalformedRows) {
   EXPECT_THROW(read_edge_list(stream), IoError);
   std::stringstream stream2("a\tb\tnotanumber\n");
   EXPECT_THROW(read_edge_list(stream2), IoError);
+}
+
+std::string printf_general(double value, int precision) {
+  char text[64];
+  std::snprintf(text, sizeof(text), "%.*g", precision, value);
+  return text;
+}
+
+// The writers format numbers with std::to_chars; their bytes must stay the
+// "%.9g" weights and "%.3g" p-values the format has always carried.
+TEST(GraphIo, WritersPrintTheBytesOfPrintfOnTrickyValues) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> weights = {
+      0.0f, -0.0f, 1.0f, 0.1f, 1.0f / 3.0f, 1e-4f, 9.99999975e-5f,
+      1e-5f, 123456789.0f, 999999999.0f, 1e9f, 16777216.0f, FLT_MIN,
+      FLT_MAX, std::numeric_limits<float>::denorm_min(), FLT_EPSILON,
+      kInf, -kInf, kNan, -kNan, 0.0468800738f, 2.2386f};
+  Xoshiro256 rng(19);
+  while (weights.size() < 6000)
+    weights.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(rng())));
+  std::vector<double> pvalues = {
+      0.0, 1.0, 1.0 / 3.0, 2.0 / 3.0, 1e-4, 9.9949999999999997e-5, 9.995e-5,
+      0.0009995, 0.9995, 0.99949999999999994, 999.5, 1e-300, 5e-324,
+      DBL_MAX, 0.125, 0.00049975012493753122};
+  while (pvalues.size() < weights.size())
+    pvalues.push_back(std::bit_cast<double>(rng()));
+
+  // Node 0 links to every other node, so edges() keeps the weights' order.
+  // One name is longer than the writer's 64 KiB flush size.
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i <= weights.size(); ++i)
+    names.push_back(strprintf("g%zu", i));
+  names[7] = std::string(70000, 'x');
+  GeneNetwork network(names);
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    network.add_edge(0, static_cast<std::uint32_t>(i + 1), weights[i]);
+  network.finalize();
+
+  std::string header = strprintf("# nodes: %zu\n", names.size());
+  for (const std::string& name : names)
+    header.append("# node\t").append(name) += '\n';
+  std::string plain = header;
+  std::string with_p = header;
+  with_p += "# columns: gene_a\tgene_b\tmi_nats\tnull_p_value\n";
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    std::string row = names[0];
+    row.append("\t").append(names[i + 1]).append("\t");
+    row += printf_general(static_cast<double>(weights[i]), 9);
+    plain.append(row) += '\n';
+    with_p.append(row).append("\t").append(printf_general(pvalues[i], 3)) +=
+        '\n';
+  }
+
+  std::stringstream written;
+  write_edge_list(network, written);
+  EXPECT_EQ(written.str(), plain);
+  std::size_t next = 0;
+  std::stringstream written_p;
+  write_edge_list_with_pvalues(
+      network, [&](float) { return pvalues[next++]; }, written_p);
+  EXPECT_EQ(written_p.str(), with_p);
 }
 
 TEST(GraphIo, SifFormat) {

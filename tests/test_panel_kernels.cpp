@@ -110,10 +110,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 3, 4, 8),       // panel width B
                        ::testing::Values(13, 97, 333)),     // samples (ragged)
     [](const auto& param_info) {
-      return "b" + std::to_string(std::get<0>(param_info.param)) + "_k" +
-             std::to_string(std::get<1>(param_info.param)) + "_B" +
-             std::to_string(std::get<2>(param_info.param)) + "_m" +
-             std::to_string(std::get<3>(param_info.param));
+      return std::string("b")
+          .append(std::to_string(std::get<0>(param_info.param)))
+          .append("_k")
+          .append(std::to_string(std::get<1>(param_info.param)))
+          .append("_B")
+          .append(std::to_string(std::get<2>(param_info.param)))
+          .append("_m")
+          .append(std::to_string(std::get<3>(param_info.param)));
     });
 
 TEST(PanelScratch, CarriesEnoughRegionsForAnyPanel) {
@@ -238,7 +242,9 @@ TEST_F(PanelEngineFixture, NetworkEdgesIdenticalToPerPairPath) {
       EXPECT_EQ(to_set(network), expected)
           << kernel_name(kernel) << " B=" << panel_width;
       EXPECT_GE(stats.panel_width, 1);
-      if (panel_width > 0) EXPECT_EQ(stats.panel_width, panel_width);
+      if (panel_width > 0) {
+        EXPECT_EQ(stats.panel_width, panel_width);
+      }
     }
   }
 }

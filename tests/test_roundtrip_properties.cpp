@@ -99,9 +99,13 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{7, 13, 0.1}, Shape{33, 64, 0.0},
                       Shape{64, 33, 0.5}, Shape{10, 100, 0.9}),
     [](const auto& param_info) {
-      return "g" + std::to_string(std::get<0>(param_info.param)) + "_s" +
-             std::to_string(std::get<1>(param_info.param)) + "_m" +
-             std::to_string(static_cast<int>(std::get<2>(param_info.param) * 100));
+      return std::string("g")
+          .append(std::to_string(std::get<0>(param_info.param)))
+          .append("_s")
+          .append(std::to_string(std::get<1>(param_info.param)))
+          .append("_m")
+          .append(std::to_string(
+              static_cast<int>(std::get<2>(param_info.param) * 100)));
     });
 
 class NetworkRoundtrip : public ::testing::TestWithParam<int> {};

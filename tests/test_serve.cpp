@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "cluster/serve_server.h"
 #include "core/mi_engine.h"
 #include "core/mi_query.h"
+#include "core/network_builder.h"
 #include "core/pair_statistic.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -213,6 +215,32 @@ TEST(ServeState, CheckpointJournalRestoresTheNetworkOnRestart) {
     EXPECT_EQ(first_edges[i].weight, second_edges[i].weight);
   }
   std::remove(path.c_str());
+}
+
+TEST(ServeState, DpiNetworkMatchesTheBatchPipeline) {
+  TingeConfig config = test_config();
+  config.apply_dpi = true;
+  const ExpressionMatrix expression = test_expression(80, 96);
+  const ServeState state(expression.clone(), config, ServeOptions{});
+  const BuildResult built = NetworkBuilder(config).build(expression);
+  ASSERT_GT(built.dpi_stats.edges_removed, 0u);  // DPI has work to do here
+  EXPECT_EQ(state.dpi_stats().triangles_examined,
+            built.dpi_stats.triangles_examined);
+  EXPECT_EQ(state.dpi_stats().edges_removed, built.dpi_stats.edges_removed);
+  ASSERT_EQ(state.network().n_edges(), built.network.n_edges());
+  const auto served = state.network().edges();
+  const auto batch = built.network.edges();
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].u, batch[i].u);
+    EXPECT_EQ(served[i].v, batch[i].v);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(served[i].weight),
+              std::bit_cast<std::uint32_t>(batch[i].weight));
+  }
+  // The adjacency the graph queries read is the pruned network's.
+  std::size_t adjacency_entries = 0;
+  for (std::uint32_t g = 0; g < state.n_genes(); ++g)
+    adjacency_entries += state.adjacency().neighbors(g).size();
+  EXPECT_EQ(adjacency_entries, 2 * served.size());
 }
 
 // ---- the daemon over real sockets ------------------------------------------

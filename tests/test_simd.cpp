@@ -115,8 +115,12 @@ TYPED_TEST(SimdOps, NegXlogxHandlesZeroAndNegatives) {
   if (V::width > 2) in[2] = 1.0f;     // -1*log(1) = 0
   neg_xlogx(V::loadu(in)).storeu(out);
   EXPECT_NEAR(out[0], 0.34657359f, 1e-6f);
-  if (V::width > 1) EXPECT_FLOAT_EQ(out[1], 0.0f);
-  if (V::width > 2) EXPECT_NEAR(out[2], 0.0f, 1e-7f);
+  if (V::width > 1) {
+    EXPECT_FLOAT_EQ(out[1], 0.0f);
+  }
+  if (V::width > 2) {
+    EXPECT_NEAR(out[2], 0.0f, 1e-7f);
+  }
   for (int i = 3; i < V::width; ++i) EXPECT_FLOAT_EQ(out[i], 0.0f);
 }
 
@@ -199,8 +203,8 @@ INSTANTIATE_TEST_SUITE_P(Decades, LogAccuracy,
                                            20, 30),
                          [](const auto& param_info) {
                            const int d = param_info.param;
-                           return d < 0 ? "em" + std::to_string(-d)
-                                        : "e" + std::to_string(d);
+                           return std::string(d < 0 ? "em" : "e")
+                               .append(std::to_string(d < 0 ? -d : d));
                          });
 
 TEST(SimdMath, EntropySumInvariantUnderPermutation) {
