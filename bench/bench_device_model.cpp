@@ -5,13 +5,6 @@
 // analytic device model with it, and (3) prints the paper-style comparison
 // for the published specs of the two machines in the paper's evaluation,
 // including the headline Arabidopsis-scale prediction.
-//
-// Section 2 closes the loop on this host: the heterogeneous lane scheduler
-// (DESIGN.md §6i) runs the engine with --hetero=auto and reports the model's
-// *predicted* lane partition next to the *measured* one reconstructed from
-// live per-tile timings — pass 1 predicts from the static efficiency
-// constant, pass 2 from pass 1's observations, so the second row pair shows
-// how far one pass of live calibration closes the gap.
 #include "bench_common.h"
 #include "device/offload.h"
 #include "device/perf_model.h"
@@ -48,8 +41,6 @@ int main(int argc, char** argv) {
   ArgParser args;
   args.add("genes", "genes for the comparison workload", "15575");
   args.add("samples", "experiments per gene", "3137");
-  args.add("lane-genes", "genes for the live lane-calibration run", "512");
-  args.add("lane-samples", "samples for the live lane-calibration run", "200");
   args.add("json", "write BENCH_device.json", "1");
   args.parse(argc, argv);
 
@@ -112,54 +103,6 @@ int main(int argc, char** argv) {
       "(%.2fx vs host alone)\n",
       100.0 * plan.host_fraction, 100.0 * plan.device_fraction,
       format_duration(plan.combined_seconds).c_str(), plan.speedup_vs_host);
-
-  // ---- section 2: live lane partition, predicted vs measured ---------------
-  const auto lane_genes =
-      static_cast<std::size_t>(args.get_int("lane-genes"));
-  const auto lane_samples =
-      static_cast<std::size_t>(args.get_int("lane-samples"));
-  const int lane_threads =
-      std::max(2, std::min(par::ThreadPool::global().max_threads(), 8));
-
-  std::printf(
-      "\nlive lane calibration: %zu genes x %zu samples, --hetero=auto, "
-      "%d threads\n",
-      lane_genes, lane_samples, lane_threads);
-
-  bench::EngineFixture fixture(lane_genes, lane_samples);
-  par::ThreadPool pool(lane_threads);
-  TingeConfig config = bench::engine_config(lane_threads, /*tile_size=*/32);
-  config.hetero = "auto";
-
-  Table lanes({"pass", "lane", "predicted", "measured", "GF/s per thread"});
-  const auto run_pass = [&](const char* pass) {
-    EngineStats stats;
-    fixture.engine().compute_network(/*threshold=*/10.0, config, pool, &stats);
-    for (const EngineStats::LaneStats& lane : stats.lanes) {
-      lanes.add_row({pass, lane.label,
-                     strprintf("%.1f%%", 100.0 * lane.predicted_fraction),
-                     strprintf("%.1f%%", 100.0 * lane.measured_fraction),
-                     strprintf("%.2f", lane.observed_gflops)});
-      obs::Json row = obs::Json::object();
-      row["section"] = obs::Json(std::string("live_lanes"));
-      row["pass"] = obs::Json(std::string(pass));
-      row["lane"] = obs::Json(lane.label);
-      row["kernel"] = obs::Json(std::string(lane.kernel));
-      row["threads"] = obs::Json(lane.threads);
-      row["predicted_fraction"] = obs::Json(lane.predicted_fraction);
-      row["measured_fraction"] = obs::Json(lane.measured_fraction);
-      row["tiles"] = obs::Json(lane.tiles);
-      row["busy_seconds"] = obs::Json(lane.busy_seconds);
-      row["observed_gflops"] = obs::Json(lane.observed_gflops);
-      json.add_row(std::move(row));
-    }
-  };
-  // Pass 1 seeds from the static efficiency assumption; the engine keeps
-  // the perf model across passes, so pass 2's prediction comes from the
-  // per-tile rates pass 1 observed.
-  run_pass("assumed");
-  run_pass("calibrated");
-  lanes.print();
 
   std::printf(
       "\nPaper shape to compare: the Phi beats the dual Xeon by ~2-3x on\n"

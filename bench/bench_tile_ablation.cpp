@@ -1,5 +1,5 @@
 // Experiment F5 [reconstructed]: cache-blocking tile-size ablation, plus
-// the F2c memory-side knob ablation.
+// the F2c rank-staging ablation.
 // A tile of T x T gene pairs touches 2T rank profiles (T * m * 4 bytes per
 // side) plus the private histogram; too-small tiles lose locality between
 // pairs sharing a gene, too-large tiles spill the profile working set out of
@@ -61,53 +61,32 @@ void tile_size_table(const bench::EngineFixture& fixture, par::ThreadPool& pool,
       "the working set fills a core's private cache.\n");
 }
 
-// F2c: each memory-side knob measured one at a time against the vector
-// panel baseline with every knob off. All variants produce bit-identical
-// networks (the knobs change where bytes come from, not which floats are
-// multiplied), so the speedup column is the entire story.
-void knob_ablation_table(const bench::EngineFixture& fixture,
-                         par::ThreadPool& pool, std::size_t n, std::size_t m,
-                         int threads, bench::BenchJson& out) {
+// F2c: uint16 rank staging against uint32 rank rows on the vector panel.
+// Both variants produce bit-identical networks (staging changes where bytes
+// come from, not which floats are multiplied), so the speedup column is the
+// entire story.
+void staging_ablation_table(const bench::EngineFixture& fixture,
+                            par::ThreadPool& pool, std::size_t n,
+                            std::size_t m, int threads,
+                            bench::BenchJson& out) {
   bench::print_header(
-      "F2c: memory-side knob ablation (vector panel, all knobs off)",
-      strprintf("%zu genes x %zu samples, %d threads, %d NUMA node(s); "
-                "speedup of each knob alone, then all together.",
-                n, m, threads, par::detect_numa_layout().nodes));
+      "F2c: rank-staging ablation (vector panel)",
+      strprintf("%zu genes x %zu samples, %d threads; speedup of uint16 "
+                "rank rows over uint32.",
+                n, m, threads));
 
   TingeConfig baseline = bench::engine_config(threads);
-  baseline.kernel = MiKernel::Simd;  // pin the vector panel: knobs only
+  baseline.kernel = MiKernel::Simd;  // pin the vector panel
   baseline.stage_ranks = false;
-  baseline.numa = KnobMode::Off;
+  TingeConfig staged = baseline;
+  staged.stage_ranks = true;
 
   struct Variant {
     const char* name;
     TingeConfig config;
   };
-  std::vector<Variant> variants;
-  variants.push_back({"baseline (all off)", baseline});
-  {
-    TingeConfig c = baseline;
-    c.stage_ranks = true;
-    variants.push_back({"+uint16 rank staging", c});
-  }
-  {
-    TingeConfig c = baseline;
-    c.numa = KnobMode::On;
-    variants.push_back({"+NUMA tile scheduling", c});
-  }
-  {
-    TingeConfig c = baseline;
-    c.stage_ranks = true;
-    c.numa = KnobMode::On;
-    variants.push_back({"all on", c});
-  }
-  {
-    // What the engine actually ships: staging on, NUMA by host detection.
-    TingeConfig c = baseline;
-    c.stage_ranks = true;
-    c.numa = KnobMode::Auto;
-    variants.push_back({"auto (default knobs)", c});
-  }
+  const Variant variants[] = {{"baseline (uint32 ranks)", baseline},
+                              {"+uint16 rank staging", staged}};
 
   Table table({"variant", "seconds", "pairs/s", "speedup"});
   double baseline_seconds = 0.0;
@@ -131,9 +110,8 @@ void knob_ablation_table(const bench::EngineFixture& fixture,
   }
   table.print();
   std::printf(
-      "\nAll rows compute the identical network; differences are pure\n"
-      "memory-system effects. NUMA shows 1.00x on single-node hosts (the\n"
-      "scheduler degenerates to the shared queue by design).\n");
+      "\nBoth rows compute the identical network; the difference is a pure\n"
+      "memory-system effect.\n");
 }
 
 }  // namespace
@@ -155,7 +133,7 @@ int main(int argc, char** argv) {
 
   bench::BenchJson out("tile_ablation");
   tile_size_table(fixture, pool, n, m, threads, out);
-  knob_ablation_table(fixture, pool, n, m, threads, out);
+  staging_ablation_table(fixture, pool, n, m, threads, out);
   std::printf("\nwrote %s\n", out.write().c_str());
   return 0;
 }

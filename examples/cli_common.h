@@ -67,12 +67,6 @@ inline void add_pipeline_options(ArgParser& args) {
            std::string("MI kernel: ") + kernel_names() +
                " (same bits; scalar is the reference)",
            std::string(kernel_name(defaults.kernel)));
-  args.add("numa", "NUMA-aware tile scheduling: on|off|auto",
-           std::string(knob_mode_name(defaults.numa)));
-  args.add("hetero",
-           "heterogeneous executor lanes: off|auto|kernel:threads,... "
-           "(explicit lane threads must sum to --threads)",
-           defaults.hetero);
   args.add("stage-ranks",
            "stage rank rows as uint16 when samples <= 65536: on|off",
            defaults.stage_ranks ? "on" : "off");
@@ -148,14 +142,6 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   config.team_size = static_cast<int>(args.get_int("team"));
   config.panel_width = static_cast<int>(args.get_int("panel"));
   config.kernel = parse_kernel(args.get("kernel"));
-  const auto parse_knob = [&](const char* name) {
-    const std::string value = args.get(name);
-    if (value == "auto") return KnobMode::Auto;
-    if (value == "on") return KnobMode::On;
-    if (value == "off") return KnobMode::Off;
-    throw std::invalid_argument(strprintf("--%s=%s: expected on|off|auto",
-                                          name, value.c_str()));
-  };
   const auto parse_switch = [&](const char* name) {
     const std::string value = args.get(name);
     if (value == "on") return true;
@@ -163,8 +149,6 @@ inline TingeConfig config_from_args(const ArgParser& args) {
     throw std::invalid_argument(
         strprintf("--%s=%s: expected on|off", name, value.c_str()));
   };
-  config.numa = parse_knob("numa");
-  config.hetero = args.get("hetero");
   config.stage_ranks = parse_switch("stage-ranks");
   config.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   config.apply_dpi = args.get_flag("dpi");

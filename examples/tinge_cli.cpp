@@ -306,15 +306,6 @@ int main(int argc, char** argv) {
                         ? static_cast<double>(result.engine.pairs_computed) /
                               result.engine.seconds
                         : 0.0);
-        for (const EngineStats::LaneStats& lane : result.engine.lanes) {
-          std::printf(
-              "lane %s: %llu tiles, predicted %.1f%% vs measured %.1f%% "
-              "(%.2f GF/s per thread)\n",
-              lane.label.c_str(),
-              static_cast<unsigned long long>(lane.tiles),
-              100.0 * lane.predicted_fraction, 100.0 * lane.measured_fraction,
-              lane.observed_gflops);
-        }
       }
       std::printf("network written to %s\n", args.get("out").c_str());
     }

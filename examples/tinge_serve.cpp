@@ -72,12 +72,21 @@ int main(int argc, char** argv) {
     std::printf("building network (%zu genes x %zu samples)...\n",
                 expression.n_genes(), expression.n_samples());
     cluster::ServeState state(std::move(expression), config, options);
-    const EngineStats& build = state.build_stats();
-    std::printf(
-        "network ready: %zu edges, threshold %.5f nats, kernel=%s "
-        "(%zu/%zu tiles restored from checkpoint)\n",
-        state.network().n_edges(), state.threshold(), build.kernel,
-        build.tiles_resumed, build.tiles);
+    if (config.consensus_resamples > 0) {
+      const ConsensusStats& consensus = state.consensus_stats();
+      std::printf(
+          "network ready: %zu consensus edges of %zu candidates (%zu "
+          "resamples x %zu estimators)\n",
+          state.network().n_edges(), consensus.candidate_edges,
+          consensus.resamples, consensus.estimators);
+    } else {
+      const EngineStats& build = state.build_stats();
+      std::printf(
+          "network ready: %zu edges, threshold %.5f nats, kernel=%s "
+          "(%zu/%zu tiles restored from checkpoint)\n",
+          state.network().n_edges(), state.threshold(), build.kernel,
+          build.tiles_resumed, build.tiles);
+    }
     if (config.apply_dpi)
       std::printf("dpi: %zu triangles, %zu edges removed\n",
                   state.dpi_stats().triangles_examined,

@@ -51,8 +51,9 @@ ServeState::ServeState(ExpressionMatrix&& expression,
 
   // The build below runs the single-process pipeline stages in exactly the
   // order sharded_build's p == 1 path does — impute, filter, rank,
-  // statistic, null, threshold, sweep, DPI — so everything the daemon serves
-  // is bit-identical to what the batch pipeline would have written.
+  // statistic, null, threshold, sweep (or consensus), DPI — so everything
+  // the daemon serves is bit-identical to what the batch pipeline would
+  // have written.
   impute_missing_with_median(working_);
   {
     FilterResult filtered = filter_genes(working_, config_.filter);
@@ -75,7 +76,13 @@ ServeState::ServeState(ExpressionMatrix&& expression,
   obs::MetricsRegistry::global().gauge("null.threshold").set(threshold_);
 
   const MiEngine engine(*primary.statistic, ranked_);
-  if (config_.checkpoint_path.empty()) {
+  if (config_.consensus_resamples > 0) {
+    // Consensus mode, as sharded_build's single-rank stage 4: the network
+    // is the bootstrap vote over every selected estimator, weighted by
+    // support frequency. The primary null and threshold above stay.
+    network_ = build_consensus_network(working_, ranked_, config_, *pool_, {},
+                                       &consensus_stats_);
+  } else if (config_.checkpoint_path.empty()) {
     network_ =
         engine.compute_network(threshold_, config_, *pool_, &build_stats_);
   } else {

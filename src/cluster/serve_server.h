@@ -40,6 +40,7 @@
 
 #include "cluster/serve_protocol.h"
 #include "core/config.h"
+#include "core/consensus.h"
 #include "core/dpi.h"
 #include "core/mi_engine.h"
 #include "core/mi_query.h"
@@ -82,7 +83,8 @@ struct ServeOptions {
 class ServeState {
  public:
   /// Runs the single-process pipeline stages (impute, filter, rank,
-  /// statistic, null, threshold, sweep, and DPI when config.apply_dpi)
+  /// statistic, null, threshold, sweep — or the consensus vote when
+  /// config.consensus_resamples > 0 — and DPI when config.apply_dpi)
   /// exactly as sharded_build's p == 1 path does — same stage order, same
   /// calls — so every value the daemon later serves is bit-identical to the
   /// batch pipeline for this config.
@@ -97,7 +99,10 @@ class ServeState {
   const Adjacency& adjacency() const { return *adjacency_; }
   const RankedMatrix& ranked() const { return ranked_; }
   double threshold() const { return threshold_; }
+  /// The sweep's stats; default-valued in consensus mode, whose sweeps
+  /// consensus_stats() summarizes instead.
   const EngineStats& build_stats() const { return build_stats_; }
+  const ConsensusStats& consensus_stats() const { return consensus_stats_; }
   const DpiStats& dpi_stats() const { return dpi_stats_; }
   TileCache& cache() { return cache_; }
   par::ThreadPool& pool() { return *pool_; }
@@ -123,6 +128,7 @@ class ServeState {
   GeneNetwork network_;
   std::unique_ptr<Adjacency> adjacency_;
   EngineStats build_stats_;
+  ConsensusStats consensus_stats_;
   DpiStats dpi_stats_;
   TileCache cache_;
   std::string dataset_id_;

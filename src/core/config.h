@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/estimator_kind.h"
 #include "mi/bspline_kernels.h"
@@ -11,26 +10,6 @@
 #include "preprocess/filter.h"
 
 namespace tinge {
-
-/// Three-state policy knob: Auto lets the runtime decide (measurement or
-/// host detection), On/Off force it.
-enum class KnobMode { Auto, On, Off };
-
-const char* knob_mode_name(KnobMode mode);
-
-/// One lane of an explicit --hetero spec: a kernel variant plus the number
-/// of pool contexts it owns.
-struct LaneSpec {
-  MiKernel kernel = MiKernel::Auto;
-  int threads = 0;
-};
-
-/// Parses an explicit heterogeneous-lane spec: comma-separated
-/// "kernel:threads" entries ("simd:6,scalar:2"). The strings "off" and
-/// "auto" are not specs and must be handled by the caller. Throws
-/// ContractViolation on malformed entries, unknown kernel names or
-/// non-positive thread counts.
-std::vector<LaneSpec> parse_lane_specs(const std::string& spec);
 
 struct TingeConfig {
   // --- estimator (Daub et al. defaults used by TINGe) ------------------
@@ -67,34 +46,11 @@ struct TingeConfig {
   /// cache budget, see auto_panel_width).
   int panel_width = 0;
 
-  // --- memory-side knobs (all bit-identical) -----------------------------
+  // --- memory-side knob (bit-identical) ----------------------------------
   /// Stage rank rows as uint16 for the O(n^2) sweep when m <= 65536,
   /// halving the streamed rank bytes. Falls back to uint32 transparently
   /// for larger m.
   bool stage_ranks = true;
-
-  /// NUMA-aware tile scheduling: partition rank rows across memory nodes by
-  /// first touch and have each node's threads prefer tiles whose row genes
-  /// live on their node. Auto = on when the host reports > 1 node. Off =
-  /// classic shared work queue.
-  ///
-  /// Scheduler precedence: --team, --hetero and --numa each replace the
-  /// flat scheduler and cannot combine. Explicit conflicts are rejected by
-  /// validate() (numa=on with team_size > 1; hetero with team_size > 1,
-  /// numa=on or cluster_ranks > 0); numa=auto silently resolves off
-  /// whenever teams or lanes are active.
-  KnobMode numa = KnobMode::Auto;
-
-  /// Heterogeneous executor lanes (DESIGN.md §6i): partition the pool
-  /// contexts into lanes of unequal modeled throughput, each sweeping with
-  /// its own kernel variant, fed from a shared LPT tile ledger seeded by
-  /// the device perf model and recalibrated from live per-tile timings.
-  /// "off" = one homogeneous scheduler; "auto" = two lanes (the resolved
-  /// --kernel vs the scalar kernel — the paper's Xeon-vs-Phi stand-ins)
-  /// with threads split by predicted throughput; otherwise an explicit
-  /// "kernel:threads,..." spec whose thread counts must sum to --threads.
-  /// Results are bit-identical to the flat scheduler (test-enforced).
-  std::string hetero = "off";
 
   /// Progress-callback throttle for the checkpointed engine: invoke the
   /// callback at most once per this many completed tiles (the ~100 ms time

@@ -1,15 +1,11 @@
 #include "core/mi_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "core/checkpoint.h"
 #include "core/sweep.h"
-#include "device/offload.h"
 #include "util/contracts.h"
-#include "parallel/topology.h"
-#include "util/str.h"
 #include "util/timer.h"
 
 namespace tinge {
@@ -39,140 +35,6 @@ std::uint64_t total_pairs_swept(const std::vector<SweepCounters>& counters) {
   return pairs;
 }
 
-// Detected NUMA shape of the host, cached — sysfs does not change mid-run.
-const par::NumaLayout& cached_numa_layout() {
-  static const par::NumaLayout layout = par::detect_numa_layout();
-  return layout;
-}
-
-// Memory nodes the pass schedules for: 1 when the knob is off or the host
-// has a single node.
-int resolved_numa_nodes(const TingeConfig& config) {
-  if (config.numa == KnobMode::Off) return 1;
-  return cached_numa_layout().nodes;
-}
-
-// Assumed fraction of peak for the lane scheduler's *first* pass, before
-// any tile has been timed. Deliberately rough — live observe() feedback
-// replaces it within one grant batch; it only has to get the seed split
-// into the right order of magnitude.
-constexpr double kAssumedLaneEfficiency = 0.3;
-
-// Resolves config.hetero into the lane plan the sweep executor consumes:
-// per-lane panel plans (each lane sweeps with its own kernel variant),
-// contiguous context ranges summing to `threads`, and seed fractions from
-// the perf model — calibrated per lane, so a model that has already
-// observed tiles (earlier pass of this engine) predicts from measurement.
-void build_lane_plan(LanePlan& out, const TingeConfig& config,
-                     const PairStatistic& statistic, std::size_t n_samples,
-                     PerfModel& model, int threads) {
-  out.model = &model;
-  out.pair_shape.pairs = 1;
-  out.pair_shape.samples = n_samples;
-  out.pair_shape.order = statistic.signature_order() > 0
-                             ? static_cast<int>(statistic.signature_order())
-                             : config.spline_order;
-  out.pair_shape.bins = statistic.signature_bins() > 0
-                            ? static_cast<int>(statistic.signature_bins())
-                            : config.bins;
-
-  std::vector<LaneSpec> specs;
-  if (config.hetero == "auto") {
-    // The paper's two-device shape: the resolved --kernel as the fast lane,
-    // the scalar kernel as the slow one (Xeon-vs-Phi stand-ins).
-    specs.push_back(LaneSpec{config.kernel, 0});
-    specs.push_back(LaneSpec{MiKernel::Scalar, 0});
-  } else {
-    specs = parse_lane_specs(config.hetero);
-    int spec_threads = 0;
-    for (const LaneSpec& spec : specs) spec_threads += spec.threads;
-    if (spec_threads != threads) {
-      throw ContractViolation(strprintf(
-          "--hetero=%s needs %d pool contexts but the pass resolved %d",
-          config.hetero.c_str(), spec_threads, threads));
-    }
-  }
-
-  // Per-lane kernel resolution and modeled per-thread rate. lane_device
-  // narrows the host spec to the kernel's issue width, so the static model
-  // already ranks scalar below SIMD before any tile has been timed.
-  const DeviceSpec host = host_device();
-  std::vector<PanelPlan> panels;
-  std::vector<double> thread_rate;
-  for (std::size_t l = 0; l < specs.size(); ++l) {
-    TingeConfig lane_config = config;
-    lane_config.kernel = specs[l].kernel;
-    panels.push_back(statistic.plan(lane_config));
-    thread_rate.push_back(model.calibrated_gflops(
-        static_cast<int>(l), lane_device(host, specs[l].kernel), 1));
-  }
-
-  if (config.hetero == "auto") {
-    // Split the pool by predicted per-thread rate, each lane >= 1 context.
-    const double r0 = thread_rate[0];
-    const double r1 = thread_rate[1];
-    const double share =
-        r0 + r1 > 0.0 ? r0 / (r0 + r1) : 1.0 / static_cast<double>(specs.size());
-    const int t0 = std::clamp(
-        static_cast<int>(std::lround(share * static_cast<double>(threads))), 1,
-        threads - 1);
-    specs[0].threads = t0;
-    specs[1].threads = threads - t0;
-  }
-
-  std::vector<double> lane_rate;
-  for (std::size_t l = 0; l < specs.size(); ++l)
-    lane_rate.push_back(std::max(thread_rate[l], 1e-12) *
-                        static_cast<double>(specs[l].threads));
-  const std::vector<double> fractions = plan_lane_split(lane_rate);
-
-  int begin = 0;
-  for (std::size_t l = 0; l < specs.size(); ++l) {
-    SweepLane lane;
-    lane.panels = panels[l];
-    lane.begin_context = begin;
-    lane.end_context = begin + specs[l].threads;
-    begin = lane.end_context;
-    lane.predicted_fraction = fractions[l];
-    lane.label = strprintf("%s:%d", panels[l].name, specs[l].threads);
-    out.lanes.push_back(std::move(lane));
-  }
-  TINGE_ENSURES(begin == threads);
-}
-
-// Scheduler state whose lifetime must span the sweep. The engine methods
-// keep one PassSetup on the stack and let prepare_pass wire options.numa /
-// options.lanes at it — the one place the scheduler-precedence resolution
-// (teams > lanes > numa, see TingeConfig::numa) is implemented.
-struct PassSetup {
-  NumaTilePlan numa_plan;
-  LanePlan lane_plan;
-  int numa_nodes = 1;
-};
-
-void prepare_pass(PassSetup& setup, const SweepPlan& plan, std::size_t n_genes,
-                  const TingeConfig& config, const PairStatistic& statistic,
-                  std::size_t n_samples, PerfModel* lane_model,
-                  SweepOptions& options) {
-  setup.numa_nodes = resolved_numa_nodes(config);
-  if (config.hetero != "off" && options.team_size <= 1 &&
-      options.threads > 1 && plan.count() > 1) {
-    TINGE_EXPECTS(lane_model != nullptr);
-    build_lane_plan(setup.lane_plan, config, statistic, n_samples, *lane_model,
-                    options.threads);
-    if (setup.lane_plan.lanes.size() > 1) options.lanes = &setup.lane_plan;
-  }
-  // numa == Auto resolves off under teams or lanes; numa == On with either
-  // was already rejected by config.validate().
-  if (options.lanes == nullptr && setup.numa_nodes > 1 &&
-      options.team_size <= 1 && options.threads > 1) {
-    setup.numa_plan = make_numa_tile_plan(plan, n_genes, setup.numa_nodes,
-                                          options.threads,
-                                          &cached_numa_layout());
-    options.numa = &setup.numa_plan;
-  }
-}
-
 // Dispatches run_sweep over the staged uint16 rows when available, the
 // classic uint32 rows otherwise — the only place the engine's row-source
 // choice is made. Staging is estimator-independent: the B-spline kernels
@@ -195,46 +57,25 @@ std::vector<SweepCounters> run_ranked_sweep(
       options, sink);
 }
 
-}  // namespace
-
+// Parallel fill of the staged matrix: each pool context converts one
+// contiguous block of gene rows, so a row's pages are first touched by a
+// sweep context rather than all by the caller.
 void fill_staged_first_touch(StagedRankMatrix& staged,
                              const RankedMatrix& ranks, par::ThreadPool& pool,
-                             int threads, int nodes) {
+                             int threads) {
   const std::size_t n = ranks.n_genes();
   if (threads <= 1) {
     staged.fill_rows(ranks, 0, n);
     return;
   }
-  const auto node_begin = [nodes](std::size_t count, int d) {
-    // First index of node d's block: smallest i with i * nodes / count >= d.
-    return (static_cast<std::size_t>(d) * count +
-            static_cast<std::size_t>(nodes) - 1) /
-           static_cast<std::size_t>(nodes);
-  };
   const auto t = static_cast<std::size_t>(threads);
   pool.run(threads, [&](int tid, int /*width*/) {
-    if (t < static_cast<std::size_t>(nodes)) {
-      // Fewer threads than nodes: the tid block partition below would map
-      // some nodes to no thread at all, leaving their gene blocks
-      // uninitialized. Hand out whole node blocks round-robin instead —
-      // every gene row is filled exactly once; some rows merely fault in
-      // away from the node their tiles prefer.
-      for (int d = tid; d < nodes; d += threads)
-        staged.fill_rows(ranks, node_begin(n, d), node_begin(n, d + 1));
-      return;
-    }
-    const int d = numa_node_of_gene(static_cast<std::size_t>(tid), t, nodes);
-    const std::size_t tid0 = node_begin(t, d);
-    const std::size_t tid1 = node_begin(t, d + 1);
-    const std::size_t g0 = node_begin(n, d);
-    const std::size_t g1 = node_begin(n, d + 1);
-    const std::size_t r = static_cast<std::size_t>(tid) - tid0;
-    const std::size_t node_threads = tid1 - tid0;
-    const std::size_t genes = g1 - g0;
-    staged.fill_rows(ranks, g0 + genes * r / node_threads,
-                     g0 + genes * (r + 1) / node_threads);
+    const auto c = static_cast<std::size_t>(tid);
+    staged.fill_rows(ranks, n * c / t, n * (c + 1) / t);
   });
 }
+
+}  // namespace
 
 EngineStats engine_stats_from_metrics(const obs::MetricsSnapshot& snapshot) {
   const auto counter = [&](const char* name) -> std::uint64_t {
@@ -283,25 +124,16 @@ MiEngine::MiEngine(const BsplineMi& estimator, const RankedMatrix& ranks)
 
 const StagedRankMatrix* MiEngine::staged_ranks(const TingeConfig& config,
                                                par::ThreadPool& pool,
-                                               int threads,
-                                               int numa_nodes) const {
+                                               int threads) const {
   if (!config.stage_ranks || !StagedRankMatrix::can_stage(ranks_.n_samples()))
     return nullptr;
   std::call_once(staged_once_, [&] {
     auto staged = std::make_unique<StagedRankMatrix>(ranks_.n_genes(),
                                                      ranks_.n_samples());
-    fill_staged_first_touch(*staged, ranks_, pool, threads, numa_nodes);
+    fill_staged_first_touch(*staged, ranks_, pool, threads);
     staged_ = std::move(staged);
   });
   return staged_.get();
-}
-
-PerfModel* MiEngine::lane_model(const TingeConfig& config) const {
-  if (config.hetero == "off") return nullptr;
-  std::call_once(lane_model_once_, [&] {
-    lane_model_ = std::make_unique<PerfModel>(kAssumedLaneEfficiency);
-  });
-  return lane_model_.get();
 }
 
 GeneNetwork MiEngine::compute_network(double threshold,
@@ -313,13 +145,9 @@ GeneNetwork MiEngine::compute_network(double threshold,
   const SweepPlan plan =
       SweepPlan::triangular(0, ranks_.n_genes(), config.tile_size);
   const PanelPlan panels = statistic_.plan(config);
-  SweepOptions options = sweep_options(config, pool);
-
-  PassSetup setup;
-  prepare_pass(setup, plan, ranks_.n_genes(), config, statistic_,
-               ranks_.n_samples(), lane_model(config), options);
+  const SweepOptions options = sweep_options(config, pool);
   const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads, setup.numa_nodes);
+      staged_ranks(config, pool, options.threads);
 
   EdgeSink sink(threshold, options.threads);
   const std::vector<SweepCounters> counters = run_ranked_sweep(
@@ -331,7 +159,7 @@ GeneNetwork MiEngine::compute_network(double threshold,
 
   finalize_engine_pass(stats, panels, plan.count(), watch.seconds(), counters,
                        network.n_edges(), /*tiles_resumed=*/0,
-                       /*pairs_resumed=*/0, options.lanes);
+                       /*pairs_resumed=*/0);
   TINGE_ENSURES(total_pairs_swept(counters) == plan.total_pairs());
   return network;
 }
@@ -359,12 +187,8 @@ GeneNetwork MiEngine::compute_network_checkpointed(
   const ResumeState resume =
       load_resume_state(checkpoint_path, signature, plan);
   options.skip = &resume.done;
-
-  PassSetup setup;
-  prepare_pass(setup, plan, ranks_.n_genes(), config, statistic_,
-               ranks_.n_samples(), lane_model(config), options);
   const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads, setup.numa_nodes);
+      staged_ranks(config, pool, options.threads);
 
   // Rewrite the journal fresh (drops any torn tail), replaying prior tiles.
   CheckpointWriter writer(checkpoint_path, signature);
@@ -392,19 +216,8 @@ GeneNetwork MiEngine::compute_network_checkpointed(
 
   finalize_engine_pass(stats, panels, plan.count(), watch.seconds(), counters,
                        network.n_edges(), resume.records.size(),
-                       resume.pairs_resumed, options.lanes);
+                       resume.pairs_resumed);
   return network;
-}
-
-GeneNetwork MiEngine::compute_network_teamed(double threshold,
-                                             const TingeConfig& config,
-                                             par::ThreadPool& pool,
-                                             int team_size,
-                                             EngineStats* stats) const {
-  TINGE_EXPECTS(team_size >= 1);
-  TingeConfig teamed = config;
-  teamed.team_size = team_size;
-  return compute_network(threshold, teamed, pool, stats);
 }
 
 std::vector<float> MiEngine::compute_dense(const TingeConfig& config,
@@ -417,13 +230,9 @@ std::vector<float> MiEngine::compute_dense(const TingeConfig& config,
   std::vector<float> mi_matrix(n * n, 0.0f);
   const SweepPlan plan = SweepPlan::triangular(0, n, config.tile_size);
   const PanelPlan panels = statistic_.plan(config);
-  SweepOptions options = sweep_options(config, pool);
-
-  PassSetup setup;
-  prepare_pass(setup, plan, n, config, statistic_, ranks_.n_samples(),
-               lane_model(config), options);
+  const SweepOptions options = sweep_options(config, pool);
   const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads, setup.numa_nodes);
+      staged_ranks(config, pool, options.threads);
 
   DenseSink sink(mi_matrix.data(), n);
   const std::vector<SweepCounters> counters = run_ranked_sweep(
@@ -431,7 +240,7 @@ std::vector<float> MiEngine::compute_dense(const TingeConfig& config,
 
   finalize_engine_pass(stats, panels, plan.count(), watch.seconds(), counters,
                        /*edges_emitted=*/0, /*tiles_resumed=*/0,
-                       /*pairs_resumed=*/0, options.lanes);
+                       /*pairs_resumed=*/0);
   return mi_matrix;
 }
 

@@ -29,7 +29,6 @@
 #include "core/config.h"
 #include "core/pair_statistic.h"
 #include "core/tile.h"
-#include "device/perf_model.h"
 #include "graph/network.h"
 #include "mi/bspline_mi.h"
 #include "obs/metrics.h"
@@ -57,8 +56,8 @@ struct EngineStats {
   std::size_t panels_swept = 0;
   double seconds = 0.0;
 
-  /// Name of the kernel variant actually run (config Auto resolved through
-  /// the one-shot microbenchmark; static string, never null).
+  /// Name of the kernel variant actually run (config Auto resolved to the
+  /// vector kernel wherever it can run; static string, never null).
   const char* kernel = "?";
   /// Name of the pair statistic the pass evaluated (static string).
   const char* estimator = "bspline";
@@ -78,35 +77,11 @@ struct EngineStats {
 
   /// Per-tile wall-time distribution over the computed (not resumed) tiles:
   /// nearest-rank percentiles over every context's samples. Zero when no
-  /// tile was computed. The p95/p50 ratio is the straggler diagnosis the
-  /// lane scheduler acts on.
+  /// tile was computed. The p95/p50 ratio is the straggler diagnosis.
   std::uint64_t tiles_timed = 0;
   double tile_seconds_p50 = 0.0;
   double tile_seconds_p95 = 0.0;
   double tile_seconds_max = 0.0;
-
-  /// One heterogeneous executor lane's outcome (empty outside --hetero
-  /// runs). predicted_fraction is the perf model's seed share;
-  /// measured_fraction is the live-throughput share reconstructed from the
-  /// per-tile timings: rate_i = (pairs_i / busy_seconds_i) * threads_i,
-  /// normalized over lanes — the number the acceptance gate compares
-  /// against the prediction.
-  struct LaneStats {
-    std::string label;           ///< "simd:6"-style spec entry
-    const char* kernel = "?";    ///< resolved panel kernel name
-    int threads = 0;             ///< pool contexts the lane owned
-    double predicted_fraction = 0.0;
-    double measured_fraction = 0.0;
-    std::uint64_t tiles = 0;
-    std::uint64_t pairs = 0;
-    double busy_seconds = 0.0;   ///< summed per-tile wall time on the lane
-    double observed_gflops = 0.0;  ///< per-busy-thread modeled rate
-  };
-  std::vector<LaneStats> lanes;
-  /// Lane-ledger conservation outcome: grant batches issued / tiles moved
-  /// between lanes by end-game stealing.
-  std::size_t lane_leases = 0;
-  std::size_t lane_steals = 0;
 
   /// Average panel occupancy: computed pairs per sweep over the configured
   /// width (1.0 = every sweep ran at full width; ragged tile edges lower it).
@@ -132,17 +107,6 @@ struct EngineStats {
 /// vectors are reassembled from the engine.thread.<tid>.* counters.
 EngineStats engine_stats_from_metrics(const obs::MetricsSnapshot& snapshot);
 
-/// Parallel first-touch fill of the staged matrix: the gene space is
-/// partitioned by node exactly as numa_node_of_gene does for tiles, and
-/// each node's block is split evenly among that node's threads — so the
-/// pages of a node's gene rows fault in on (and are served from) that node.
-/// When threads < nodes, whole node blocks are instead handed out
-/// round-robin so every gene row is still filled exactly once. Exposed for
-/// the staging tests; the engine calls it through staged_ranks.
-void fill_staged_first_touch(StagedRankMatrix& staged,
-                             const RankedMatrix& ranks, par::ThreadPool& pool,
-                             int threads, int nodes);
-
 class MiEngine {
  public:
   /// Both references must outlive the engine. The ranked matrix must have
@@ -155,8 +119,12 @@ class MiEngine {
   MiEngine(const BsplineMi& estimator, const RankedMatrix& ranks);
 
   /// All-pairs MI with thresholding: returns the network of pairs with
-  /// MI >= threshold (weights are MI in nats). Honors config.team_size:
-  /// > 1 runs the teamed scheduler (see compute_network_teamed).
+  /// MI >= threshold (weights are MI in nats). config.team_size > 1 runs
+  /// the teamed scheduler: teams of that many threads (the Phi's hardware
+  /// threads of one core) claim a tile together and split its panels
+  /// round-robin. It must divide config.threads (or the pool width when
+  /// config.threads is 0) — a clear ContractViolation otherwise. Results
+  /// are identical for every team size.
   GeneNetwork compute_network(double threshold, const TingeConfig& config,
                               par::ThreadPool& pool,
                               EngineStats* stats = nullptr) const;
@@ -189,36 +157,15 @@ class MiEngine {
       const std::function<void(std::size_t, std::size_t)>& progress = {},
       bool keep_checkpoint = false) const;
 
-  /// Team-mode variant: threads are grouped into teams of `team_size` (the
-  /// Phi's hardware threads of one core); a team claims a tile together and
-  /// its members split the tile's pairs round-robin, so the tile's two gene
-  /// blocks are shared in the core's cache instead of each thread streaming
-  /// its own tile. team_size must divide config.threads (or the pool width
-  /// when config.threads is 0) — a clear ContractViolation otherwise.
-  /// Results are identical to compute_network. Equivalent to
-  /// compute_network with config.team_size = team_size (kept as the named
-  /// entry point the paper's teamed experiments call).
-  GeneNetwork compute_network_teamed(double threshold,
-                                     const TingeConfig& config,
-                                     par::ThreadPool& pool, int team_size,
-                                     EngineStats* stats = nullptr) const;
-
  private:
   /// The uint16 staged copy of the rank matrix (config.stage_ranks and
-  /// m <= 65536; null otherwise). Built lazily on the first sweep — filled
-  /// in parallel, partitioned so each NUMA node's threads first-touch the
-  /// gene rows their node's tiles will sweep — then reused by every later
-  /// pass (the staging is config-independent apart from the on/off gate).
+  /// m <= 65536; null otherwise). Built lazily on the first sweep — each
+  /// pool context fills one contiguous block of gene rows — then reused by
+  /// every later pass (the staging is config-independent apart from the
+  /// on/off gate).
   const StagedRankMatrix* staged_ranks(const TingeConfig& config,
-                                       par::ThreadPool& pool, int threads,
-                                       int numa_nodes) const;
-
-  /// The lane scheduler's perf model (null when config.hetero == "off").
-  /// Created on the first heterogeneous pass with the assumed-efficiency
-  /// calibration and kept for the engine's lifetime, so every later pass
-  /// (checkpoint resume legs, consensus resamples) starts from the tile
-  /// timings the earlier ones observed instead of the static constant.
-  PerfModel* lane_model(const TingeConfig& config) const;
+                                       par::ThreadPool& pool,
+                                       int threads) const;
 
   /// Set only by the B-spline convenience constructor (declared before
   /// statistic_ so the reference can bind to it during construction).
@@ -227,8 +174,6 @@ class MiEngine {
   const RankedMatrix& ranks_;
   mutable std::once_flag staged_once_;
   mutable std::unique_ptr<StagedRankMatrix> staged_;
-  mutable std::once_flag lane_model_once_;
-  mutable std::unique_ptr<PerfModel> lane_model_;
 };
 
 }  // namespace tinge

@@ -46,8 +46,6 @@ obs::Json config_to_json(const TingeConfig& config) {
   json["schedule"] = obs::Json(std::string(par::schedule_name(config.schedule)));
   json["panel_width"] = obs::Json(config.panel_width);
   json["stage_ranks"] = obs::Json(config.stage_ranks);
-  json["numa"] = obs::Json(std::string(knob_mode_name(config.numa)));
-  json["hetero"] = obs::Json(config.hetero);
   json["seed"] = obs::Json(config.seed);
   json["checkpoint_path"] = obs::Json(config.checkpoint_path);
   json["apply_dpi"] = obs::Json(config.apply_dpi);
@@ -103,25 +101,6 @@ obs::Json engine_to_json(const EngineStats& engine) {
     tile_seconds["p95"] = obs::Json(engine.tile_seconds_p95);
     tile_seconds["max"] = obs::Json(engine.tile_seconds_max);
     json["tile_seconds"] = std::move(tile_seconds);
-  }
-  if (!engine.lanes.empty()) {
-    obs::Json lanes = obs::Json::array();
-    for (const EngineStats::LaneStats& lane : engine.lanes) {
-      obs::Json entry = obs::Json::object();
-      entry["label"] = obs::Json(lane.label);
-      entry["kernel"] = obs::Json(std::string(lane.kernel));
-      entry["threads"] = obs::Json(lane.threads);
-      entry["predicted_fraction"] = obs::Json(lane.predicted_fraction);
-      entry["measured_fraction"] = obs::Json(lane.measured_fraction);
-      entry["tiles"] = obs::Json(lane.tiles);
-      entry["pairs"] = obs::Json(lane.pairs);
-      entry["busy_seconds"] = obs::Json(lane.busy_seconds);
-      entry["observed_gflops"] = obs::Json(lane.observed_gflops);
-      lanes.push_back(std::move(entry));
-    }
-    json["lanes"] = std::move(lanes);
-    json["lane_leases"] = obs::Json(engine.lane_leases);
-    json["lane_steals"] = obs::Json(engine.lane_steals);
   }
   return json;
 }

@@ -27,7 +27,6 @@
 // or routing through the PairStatistic interface — cannot change bits.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -43,13 +42,10 @@
 #include "core/config.h"
 #include "core/pair_statistic.h"
 #include "core/tile.h"
-#include "device/perf_model.h"
 #include "graph/network.h"
 #include "mi/bspline_mi.h"
-#include "parallel/affinity.h"
 #include "parallel/barrier.h"
 #include "parallel/parallel_for.h"
-#include "parallel/topology.h"
 #include "parallel/reduction.h"
 #include "parallel/thread_pool.h"
 #include "util/aligned.h"
@@ -121,161 +117,6 @@ class SweepAborted : public std::runtime_error {
       : std::runtime_error("sweep aborted: cancellation requested") {}
 };
 
-/// NUMA placement of one sweep: which memory node prefers which tiles and
-/// where each pool context runs. Built once per pass by
-/// make_numa_tile_plan and handed to run_sweep via SweepOptions::numa;
-/// with it set (and > 1 node) the flat scheduler swaps its single shared
-/// tile counter for per-node queues — each context drains its own node's
-/// tiles first (whose row genes were first-touched on that node, see
-/// StagedRankMatrix::fill_rows) and steals from other nodes round-robin by
-/// hop distance only when its queue runs dry. Tile values are unchanged;
-/// only the claiming order is.
-struct NumaTilePlan {
-  int nodes = 1;
-  std::vector<int> tile_node;  ///< per plan tile: node owning its row genes
-  /// Per pool context: assumed home node under a contiguous block split of
-  /// the contexts across nodes. Only a fallback — pool contexts are handed
-  /// out in wake order and may not be pinned at all, so when cpu_node is
-  /// populated each context resolves its real home from the CPU it is
-  /// running on at sweep time instead.
-  std::vector<int> thread_node;
-  /// cpu_node[cpu] = node of OS CPU `cpu` (copied from the detected
-  /// NumaLayout when the caller supplies one); empty when detection was
-  /// unavailable or the plan uses synthetic nodes, in which case
-  /// thread_node decides.
-  std::vector<int> cpu_node;
-};
-
-/// Node owning gene g under the contiguous block partition both the staged
-/// first-touch fill and the tile plan use: block boundaries at
-/// g * nodes / n_genes.
-inline int numa_node_of_gene(std::size_t g, std::size_t n_genes, int nodes) {
-  if (n_genes == 0 || nodes <= 1) return 0;
-  const std::size_t node =
-      g * static_cast<std::size_t>(nodes) / n_genes;
-  return static_cast<int>(
-      std::min(node, static_cast<std::size_t>(nodes - 1)));
-}
-
-/// Builds the per-pass NUMA plan: tiles are attributed to the node of
-/// their first row gene. Pass the detected `layout` so sweep contexts can
-/// resolve their home node from the CPU they actually run on; without it
-/// (or when layout->nodes != nodes — synthetic test plans) contexts fall
-/// back to a contiguous block split of tids across nodes, which matches a
-/// block-cyclic pinning of the pool and is only a heuristic otherwise.
-NumaTilePlan make_numa_tile_plan(const SweepPlan& plan, std::size_t n_genes,
-                                 int nodes, int threads,
-                                 const par::NumaLayout* layout = nullptr);
-
-// --- heterogeneous executor lanes (DESIGN.md §6i) ---------------------------
-
-/// Shared tile ledger of the heterogeneous lane scheduler. Mirrors the
-/// cluster LeaseLedger's conservation discipline — tiles leave an
-/// LPT-ordered ready queue (descending pair count, ties by ascending
-/// index) in batches, every tile is claimed exactly once, and
-/// granted = completed + outstanding at every step — but is internally
-/// synchronized: worker contexts call next()/complete() directly instead
-/// of routing requests through a master rank. Refill batches shrink
-/// geometrically as the ready queue drains (bounding end-game imbalance),
-/// and a lane whose pending queue and the ready list are both dry steals
-/// the back half of the richest other lane's pending tiles — so a
-/// mispredicted seed fraction can cost latency, never completion.
-///
-/// Seed grants are issued upfront (in the constructor) and a steal always
-/// leaves the victim's front tile in place, so every lane is guaranteed at
-/// least one tile when the plan has enough to go around — the calibration
-/// and the manifest's measured partition get an observation from every
-/// lane even if its contexts wake late. Worst-case cost: one straggler
-/// tile per lane.
-class LaneLedger {
- public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-  /// `seed_fractions` sizes each lane's upfront grant — half its predicted
-  /// share, the rest staying in the ready queue to absorb prediction error
-  /// (empty = equal shares). Tiles with a non-zero `skip` entry (resumed
-  /// from a checkpoint) never enter the ready queue.
-  LaneLedger(const SweepPlan& plan, std::size_t n_lanes,
-             const std::vector<double>& seed_fractions = {},
-             const std::vector<char>* skip = nullptr);
-
-  /// Claims the next tile for a context of `lane`: the lane's pending
-  /// grant first, else a fresh batch from the ready queue, else a steal
-  /// from another lane. npos = the sweep is drained.
-  std::size_t next(int lane);
-
-  /// Marks a claimed tile finished.
-  void complete(int lane, std::size_t tile);
-
-  // Conservation accounting. At any instant
-  //   tiles_granted == tiles_claimed == tiles_completed + outstanding
-  // up to tiles still sitting in pending queues (granted, unclaimed), and
-  // after the sweep all four equal tiles_total.
-  std::size_t tiles_total() const;      ///< plan tiles minus skipped
-  std::size_t tiles_granted() const;    ///< left the ready queue
-  std::size_t tiles_claimed() const;    ///< returned by next()
-  std::size_t tiles_completed() const;
-  std::size_t outstanding() const;      ///< claimed, not yet completed
-  std::size_t leases_granted() const;   ///< grant batches issued
-  std::size_t steals() const;           ///< tiles moved between lanes
-  std::uint64_t lane_tiles(int lane) const;  ///< completions per lane
-  std::size_t lane_pending(int lane) const;  ///< granted, unclaimed tiles
-  bool drained() const;  ///< ready queue and every pending queue empty
-  bool done() const;     ///< every non-skipped tile completed
-
- private:
-  void grant_locked(std::size_t lane);
-  void steal_locked(std::size_t lane);
-
-  mutable std::mutex mutex_;
-  const SweepPlan* plan_;
-  std::vector<std::size_t> ready_;  ///< LPT order; head_ is the cursor
-  std::size_t head_ = 0;
-  std::vector<std::vector<std::size_t>> pending_;  ///< per lane, FIFO
-  std::vector<std::uint64_t> lane_tiles_;
-  std::size_t claimed_ = 0;
-  std::size_t completed_ = 0;
-  std::size_t leases_ = 0;
-  std::size_t steals_ = 0;
-};
-
-/// One executor lane: a contiguous block of pool contexts sweeping with its
-/// own resolved kernel plan — e.g. the AVX-512 panel lane vs the scalar
-/// lane as stand-ins for the paper's Xeon/Phi split. Kernel variants are
-/// bit-identical, so lanes change which context computes a pair, never its
-/// value.
-struct SweepLane {
-  PanelPlan panels;
-  int begin_context = 0;  ///< first pool context of the lane (inclusive)
-  int end_context = 0;    ///< one past the lane's last pool context
-  double predicted_fraction = 0.0;  ///< perf-model share seeding the ledger
-  std::string label;                ///< "simd:6"-style, for stats/metrics
-
-  int threads() const { return end_context - begin_context; }
-};
-
-/// The lane scheduler's inputs: lanes covering contexts [0, threads)
-/// contiguously, the per-pair workload shape (samples/order/bins, pairs
-/// left at 1) for converting tiles to modeled FLOPs, and an optional
-/// PerfModel receiving per-tile observations (live recalibration;
-/// PerfModel::observe is internally locked). run_sweep writes the ledger's
-/// conservation counters back into the mutable fields after the pass.
-struct LanePlan {
-  std::vector<SweepLane> lanes;
-  MiWorkload pair_shape;
-  PerfModel* model = nullptr;
-
-  /// Filled by run_sweep: the lane ledger's outcome for this pass.
-  mutable std::size_t leases_granted = 0;
-  mutable std::size_t steals = 0;
-
-  int lane_of_context(int tid) const {
-    for (std::size_t l = 0; l + 1 < lanes.size(); ++l)
-      if (tid < lanes[l].end_context) return static_cast<int>(l);
-    return static_cast<int>(lanes.size()) - 1;
-  }
-};
-
 /// How run_sweep distributes tiles over contexts.
 struct SweepOptions {
   /// Pool contexts participating. 1 runs inline on the caller (the pool may
@@ -295,15 +136,6 @@ struct SweepOptions {
   /// that learned of a peer failure (or caught SIGTERM) abandons a doomed
   /// multi-minute sweep instead of computing to the bitter end.
   const std::atomic<bool>* cancel = nullptr;
-  /// Optional NUMA placement (flat scheduler only). Must outlive the
-  /// sweep. Combining it with team_size > 1 or `lanes` is a
-  /// ContractViolation — see the scheduler-precedence note on
-  /// TingeConfig::numa.
-  const NumaTilePlan* numa = nullptr;
-  /// Optional heterogeneous lane scheduler (flat mode only; team_size must
-  /// be 1 and `numa` null). The plan's lanes must cover exactly
-  /// [0, threads). Must outlive the sweep.
-  const LanePlan* lanes = nullptr;
 };
 
 /// Per-context tally of one pass. Plain counters on per-thread slots: the
@@ -313,15 +145,10 @@ struct SweepCounters {
   std::uint64_t tiles = 0;   ///< tiles this context completed (team leader)
   std::uint64_t pairs = 0;   ///< pairs this context computed
   std::uint64_t panels = 0;  ///< panel sweeps this context ran
-  /// NUMA scheduler only (zero elsewhere): tiles claimed from the
-  /// context's own node's queue vs. stolen from another node's.
-  std::uint64_t tiles_local = 0;
-  std::uint64_t tiles_stolen = 0;
-  /// Per-tile wall-time sampling (every scheduler; teamed passes time on
-  /// the leader, claim to post-merge). Sum/max feed the lane calibration;
-  /// the raw samples give the pass-level p50/p95 straggler diagnosis.
+  /// Per-tile wall-time sampling (both schedulers; teamed passes time on
+  /// the leader, claim to post-merge). The raw samples give the pass-level
+  /// p50/p95 straggler diagnosis.
   std::uint64_t tiles_timed = 0;
-  double tile_seconds_sum = 0.0;
   double tile_seconds_max = 0.0;
   std::vector<float> tile_seconds;  ///< one sample per timed tile
 };
@@ -477,15 +304,12 @@ ResumeState load_resume_state(const std::string& path,
 /// The one place every engine-facing pass reports through: fills
 /// EngineStats (when requested) and publishes the identical numbers as
 /// deltas into the engine.* instruments of the process-wide registry —
-/// including the tile-latency percentiles from the per-context samples
-/// and, when `lanes` is given, the per-lane partition outcome
-/// (engine.lane.<i>.* metrics, EngineStats::lanes).
+/// including the tile-latency percentiles from the per-context samples.
 void finalize_engine_pass(EngineStats* stats, const PanelPlan& plan,
                           std::size_t plan_tiles, double seconds,
                           std::span<const SweepCounters> per_thread,
                           std::size_t edges_emitted, std::size_t tiles_resumed,
-                          std::size_t pairs_resumed,
-                          const LanePlan* lanes = nullptr);
+                          std::size_t pairs_resumed);
 
 // --- the executor -----------------------------------------------------------
 
@@ -536,12 +360,11 @@ inline SweepContext make_sweep_context(const PairStatistic& estimator,
   return SweepContext{estimator.make_scratch(), &state.local(tid)};
 }
 
-/// Records one tile's wall time into the context's counters (count, sum,
-/// max, raw sample). One push_back per tile — tiles are ms-scale and the
+/// Records one tile's wall time into the context's counters (count, max,
+/// raw sample). One push_back per tile — tiles are ms-scale and the
 /// slots are thread-private, so the sampling cost is noise.
 inline void record_tile_seconds(SweepCounters& counters, double seconds) {
   ++counters.tiles_timed;
-  counters.tile_seconds_sum += seconds;
   if (seconds > counters.tile_seconds_max)
     counters.tile_seconds_max = seconds;
   counters.tile_seconds.push_back(static_cast<float>(seconds));
@@ -566,181 +389,38 @@ std::vector<SweepCounters> run_sweep(const SweepPlan& plan,
   TINGE_EXPECTS(options.team_size >= 1);
   TINGE_EXPECTS(options.skip == nullptr ||
                 options.skip->size() == plan.count());
-  // Scheduler-precedence guards (see TingeConfig::numa): a NUMA plan or a
-  // lane plan combined with teamed claiming used to be a silent no-op —
-  // now the caller hears about the conflict instead of losing a knob.
-  if (options.numa != nullptr && options.team_size > 1) {
-    throw ContractViolation(strprintf(
-        "sweep: a NUMA tile plan requires the flat scheduler but "
-        "team_size is %d; teamed claiming would silently ignore the plan",
-        options.team_size));
-  }
-  if (options.lanes != nullptr && options.team_size > 1) {
-    throw ContractViolation(strprintf(
-        "sweep: heterogeneous lanes require the flat scheduler but "
-        "team_size is %d",
-        options.team_size));
-  }
-  if (options.lanes != nullptr && options.numa != nullptr) {
-    throw ContractViolation(
-        "sweep: heterogeneous lanes and the NUMA node-queue scheduler "
-        "both replace the flat tile queue; enable at most one");
-  }
   const int contexts = options.threads;
   par::PerThread<SweepCounters> state(contexts);
 
-  if (options.team_size <= 1 && options.lanes != nullptr &&
-      options.lanes->lanes.size() > 1 && contexts > 1 && plan.count() > 1) {
-    // Heterogeneous lane scheduler: each lane owns a contiguous context
-    // block and its own kernel plan; tiles flow through the shared
-    // LPT-ordered LaneLedger — perf-model-seeded batches first, then
-    // demand-driven refills and cross-lane steals, so whichever lane
-    // drains first keeps the pool busy regardless of the model's accuracy.
-    // Kernel variants are bit-identical and the network finalizer sorts,
-    // so lane composition cannot change the result.
-    TINGE_EXPECTS(pool != nullptr);
-    const LanePlan& lane_plan = *options.lanes;
-    TINGE_EXPECTS(lane_plan.lanes.front().begin_context == 0);
-    TINGE_EXPECTS(lane_plan.lanes.back().end_context == contexts);
-    std::vector<double> fractions;
-    fractions.reserve(lane_plan.lanes.size());
-    for (const SweepLane& lane : lane_plan.lanes)
-      fractions.push_back(lane.predicted_fraction);
-    LaneLedger ledger(plan, lane_plan.lanes.size(), fractions, options.skip);
-
-    pool->run(contexts, [&](int tid, int /*width*/) {
-      const int lane_index = lane_plan.lane_of_context(tid);
-      const SweepLane& lane =
-          lane_plan.lanes[static_cast<std::size_t>(lane_index)];
+  if (options.team_size <= 1) {
+    // Flat scheduler: parallel_for hands out tiles (grain 1) under
+    // options.schedule — dynamic by default, as in the paper.
+    const auto body = [&](std::size_t tile_begin, std::size_t tile_end,
+                          int tid) {
       const detail::SweepContext context =
           detail::make_sweep_context(estimator, state, tid);
       SweepCounters& local = *context.counters;
       Stopwatch tile_watch;
-      while (true) {
-        const std::size_t t = ledger.next(lane_index);
-        if (t == LaneLedger::npos) break;
+      for (std::size_t t = tile_begin; t < tile_end; ++t) {
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed))
           throw SweepAborted();
+        if (options.skip != nullptr && (*options.skip)[t]) continue;
         tile_watch.reset();
         sink.tile_begin(tid, t);
         ++local.tiles;
-        detail::sweep_tile(estimator, row, plan.tile(t), lane.panels, 0, 1,
+        detail::sweep_tile(estimator, row, plan.tile(t), panels, 0, 1,
                            *context.scratch, local, sink, tid);
         sink.tile_end(tid, t, 1);
-        const double elapsed = tile_watch.seconds();
-        detail::record_tile_seconds(local, elapsed);
-        ledger.complete(lane_index, t);
-        if (lane_plan.model != nullptr) {
-          MiWorkload tile_work = lane_plan.pair_shape;
-          tile_work.pairs = plan.tile(t).pair_count();
-          lane_plan.model->observe(lane_index, tile_work, elapsed);
-        }
+        detail::record_tile_seconds(local, tile_watch.seconds());
       }
-    });
-    lane_plan.leases_granted = ledger.leases_granted();
-    lane_plan.steals = ledger.steals();
-  } else if (options.team_size <= 1) {
-    const bool numa_scheduling = options.numa != nullptr &&
-                                 options.numa->nodes > 1 && contexts > 1 &&
-                                 plan.count() > 1;
-    if (numa_scheduling) {
-      // NUMA node-queue scheduler: one tile queue per memory node, one
-      // shared cursor per queue. A context drains the queue of its own
-      // node first (tiles whose row genes are resident there), then steals
-      // from the other nodes in hop order. Work-conserving — every tile is
-      // claimed exactly once — and tile values are scheduler-independent,
-      // so results stay bit-identical to the shared-queue path.
-      TINGE_EXPECTS(pool != nullptr);
-      const NumaTilePlan& numa = *options.numa;
-      TINGE_EXPECTS(numa.tile_node.size() == plan.count());
-      TINGE_EXPECTS(numa.thread_node.size() >=
-                    static_cast<std::size_t>(contexts));
-      const int nodes = numa.nodes;
-      std::vector<std::vector<std::size_t>> queues(
-          static_cast<std::size_t>(nodes));
-      for (std::size_t t = 0; t < plan.count(); ++t) {
-        int node = numa.tile_node[t];
-        if (node < 0 || node >= nodes) node = 0;
-        queues[static_cast<std::size_t>(node)].push_back(t);
-      }
-      struct alignas(kSimdAlignment) NodeCursor {
-        std::atomic<std::size_t> next{0};
-      };
-      std::vector<NodeCursor> cursors(static_cast<std::size_t>(nodes));
-
-      pool->run(contexts, [&](int tid, int /*width*/) {
-        const detail::SweepContext context =
-            detail::make_sweep_context(estimator, state, tid);
-        SweepCounters& local = *context.counters;
-        // Home node: prefer the node of the CPU this context is actually
-        // running on (tids are claimed in wake order, so the plan's
-        // tid-block mapping cannot know it); fall back to that mapping
-        // when the plan has no cpu table or the query is unsupported.
-        int home = numa.thread_node[static_cast<std::size_t>(tid)];
-        const int cpu = par::current_cpu();
-        if (cpu >= 0 && static_cast<std::size_t>(cpu) < numa.cpu_node.size())
-          home = numa.cpu_node[static_cast<std::size_t>(cpu)];
-        if (home < 0 || home >= nodes) home = 0;
-        Stopwatch tile_watch;
-        for (int hop = 0; hop < nodes; ++hop) {
-          const int node = (home + hop) % nodes;
-          const auto& queue = queues[static_cast<std::size_t>(node)];
-          auto& cursor = cursors[static_cast<std::size_t>(node)].next;
-          while (true) {
-            const std::size_t qi =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (qi >= queue.size()) break;
-            const std::size_t t = queue[qi];
-            if (options.cancel != nullptr &&
-                options.cancel->load(std::memory_order_relaxed))
-              throw SweepAborted();
-            if (options.skip != nullptr && (*options.skip)[t]) continue;
-            tile_watch.reset();
-            sink.tile_begin(tid, t);
-            ++local.tiles;
-            if (hop == 0) {
-              ++local.tiles_local;
-            } else {
-              ++local.tiles_stolen;
-            }
-            detail::sweep_tile(estimator, row, plan.tile(t), panels, 0, 1,
-                               *context.scratch, local, sink, tid);
-            sink.tile_end(tid, t, 1);
-            detail::record_tile_seconds(local, tile_watch.seconds());
-          }
-        }
-      });
+    };
+    if (contexts == 1 || plan.count() <= 1) {
+      body(0, plan.count(), 0);
     } else {
-      // Flat scheduler: tiles are the unit of dynamic claiming, exactly as
-      // parallel_for distributes them (grain 1).
-      const auto body = [&](std::size_t tile_begin, std::size_t tile_end,
-                            int tid) {
-        const detail::SweepContext context =
-            detail::make_sweep_context(estimator, state, tid);
-        SweepCounters& local = *context.counters;
-        Stopwatch tile_watch;
-        for (std::size_t t = tile_begin; t < tile_end; ++t) {
-          if (options.cancel != nullptr &&
-              options.cancel->load(std::memory_order_relaxed))
-            throw SweepAborted();
-          if (options.skip != nullptr && (*options.skip)[t]) continue;
-          tile_watch.reset();
-          sink.tile_begin(tid, t);
-          ++local.tiles;
-          detail::sweep_tile(estimator, row, plan.tile(t), panels, 0, 1,
-                             *context.scratch, local, sink, tid);
-          sink.tile_end(tid, t, 1);
-          detail::record_tile_seconds(local, tile_watch.seconds());
-        }
-      };
-      if (contexts == 1 || plan.count() <= 1) {
-        body(0, plan.count(), 0);
-      } else {
-        TINGE_EXPECTS(pool != nullptr);
-        par::parallel_for(*pool, contexts, 0, plan.count(), 1,
-                          options.schedule, body);
-      }
+      TINGE_EXPECTS(pool != nullptr);
+      par::parallel_for(*pool, contexts, 0, plan.count(), 1,
+                        options.schedule, body);
     }
   } else {
     if (contexts % options.team_size != 0) {

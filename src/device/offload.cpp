@@ -51,21 +51,4 @@ std::vector<double> plan_lane_split(const std::vector<double>& lane_gflops) {
   return fractions;
 }
 
-DeviceSpec lane_device(const DeviceSpec& host, MiKernel kernel) {
-  DeviceSpec device = host;
-  device.name = host.name + "/" + kernel_name(kernel);
-  switch (kernel) {
-    case MiKernel::Scalar:
-    case MiKernel::Unrolled:
-      device.vector_bits = 32;  // one f32 lane per issue
-      break;
-    case MiKernel::Simd:
-    case MiKernel::Replicated:
-    case MiKernel::Gather512:
-    case MiKernel::Auto:
-      break;  // full host vector width
-  }
-  return device;
-}
-
 }  // namespace tinge

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "device/perf_model.h"
-#include "mi/bspline_kernels.h"
 
 namespace tinge {
 
@@ -35,17 +34,8 @@ OffloadPlan plan_offload(const PerfModel& model, const DeviceSpec& host,
 
 /// Throughput-proportional split of one workload across N executors:
 /// fractions[i] = rate_i / sum(rates), so all of them finish together when
-/// the rates hold. `lane_gflops` entries must be positive. This is the
-/// N-lane generalization plan_offload's host/device partition is a special
-/// case of, and what seeds the lane ledger's initial tile grants.
+/// the rates hold. `lane_gflops` entries must be positive. plan_offload's
+/// host/device partition is its two-executor case.
 std::vector<double> plan_lane_split(const std::vector<double>& lane_gflops);
-
-/// Models one executor lane's kernel variant as a device of its own: the
-/// scalar and unrolled kernels drive a single 32-bit FP lane per issue (a
-/// coprocessor-without-vectors stand-in), every SIMD panel kernel keeps the
-/// host's full vector width. Core counts and frequency stay the host's —
-/// the lanes share one physical machine; only deliverable vector width
-/// differs.
-DeviceSpec lane_device(const DeviceSpec& host, MiKernel kernel);
 
 }  // namespace tinge

@@ -13,44 +13,6 @@ PerfModel::PerfModel(const DeviceSpec& host, double measured_gflops) {
   efficiency_ = std::clamp(measured_gflops / single_thread_peak, 0.01, 1.0);
 }
 
-PerfModel::PerfModel(double assumed_efficiency) {
-  TINGE_EXPECTS(assumed_efficiency > 0.0);
-  efficiency_ = std::clamp(assumed_efficiency, 0.01, 1.0);
-}
-
-void PerfModel::observe(int lane, const MiWorkload& tile, double seconds) {
-  TINGE_EXPECTS(lane >= 0);
-  TINGE_EXPECTS(seconds >= 0.0);
-  const std::lock_guard<std::mutex> lock(observed_mutex_);
-  if (observed_.size() <= static_cast<std::size_t>(lane))
-    observed_.resize(static_cast<std::size_t>(lane) + 1);
-  LaneObservation& slot = observed_[static_cast<std::size_t>(lane)];
-  ++slot.tiles;
-  slot.pairs += tile.pairs;
-  slot.seconds += seconds;
-  slot.flops += tile.flops();
-}
-
-LaneObservation PerfModel::observation(int lane) const {
-  TINGE_EXPECTS(lane >= 0);
-  const std::lock_guard<std::mutex> lock(observed_mutex_);
-  if (static_cast<std::size_t>(lane) >= observed_.size())
-    return LaneObservation{};
-  return observed_[static_cast<std::size_t>(lane)];
-}
-
-double PerfModel::observed_gflops(int lane) const {
-  return observation(lane).gflops();
-}
-
-double PerfModel::calibrated_gflops(int lane, const DeviceSpec& device,
-                                    int threads) const {
-  const LaneObservation seen = observation(lane);
-  if (seen.seconds > 0.0 && seen.flops > 0.0)
-    return seen.gflops() * threads;
-  return device_gflops(device, threads);
-}
-
 double PerfModel::device_gflops(const DeviceSpec& device, int threads) const {
   TINGE_EXPECTS(threads >= 1);
   threads = std::min(threads, device.total_threads());

@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "device/device_spec.h"
@@ -50,34 +48,12 @@ struct MiWorkload {
   }
 };
 
-/// Accumulated live measurements of one executor lane (see
-/// PerfModel::observe). `seconds` sums per-tile wall times across the
-/// lane's contexts, so it is busy time, not lane wall time — gflops() is
-/// therefore a *per-busy-thread* rate; multiply by the lane's thread count
-/// for the lane's aggregate throughput.
-struct LaneObservation {
-  std::uint64_t tiles = 0;
-  std::uint64_t pairs = 0;
-  double seconds = 0.0;  ///< summed per-tile wall seconds (busy time)
-  double flops = 0.0;    ///< summed MiWorkload::flops of the observed tiles
-
-  /// Per-busy-thread FLOP rate of the observed tiles (0 until any exist).
-  double gflops() const {
-    return seconds > 0.0 ? flops / seconds / 1e9 : 0.0;
-  }
-};
-
 class PerfModel {
  public:
   /// `measured_gflops` is the single-thread FLOP rate the real kernel
   /// achieved on `host` (from bench_mi_kernels). Efficiency is clamped to
   /// [0.01, 1].
   PerfModel(const DeviceSpec& host, double measured_gflops);
-
-  /// Static-constant calibration: assume the kernel reaches this fraction
-  /// of peak on every modeled device. The lane scheduler starts here and
-  /// replaces the assumption with live observe() feedback as tiles finish.
-  explicit PerfModel(double assumed_efficiency);
 
   /// Fraction of peak the calibrated kernel achieves.
   double efficiency() const { return efficiency_; }
@@ -97,33 +73,8 @@ class PerfModel {
                                       const std::vector<int>& thread_counts,
                                       double serial_seconds = 0.0) const;
 
-  // --- live calibration (DESIGN.md §6i) ---------------------------------
-  //
-  // The lane scheduler reports every finished tile here; predictions for a
-  // lane then prefer its measured rate over the static efficiency constant.
-  // Thread-safe: worker contexts call observe() concurrently.
-
-  /// Records one finished tile of `lane`: `tile` describes its workload
-  /// (pairs set to the tile's pair count), `seconds` its wall time on the
-  /// context that swept it.
-  void observe(int lane, const MiWorkload& tile, double seconds);
-
-  /// The lane's accumulated observations (all-zero until any exist).
-  LaneObservation observation(int lane) const;
-
-  /// Per-busy-thread GFLOP/s the lane actually achieved (0 = unobserved).
-  double observed_gflops(int lane) const;
-
-  /// Deliverable GFLOP/s of `device` running `threads` threads for `lane`:
-  /// the lane's live rate scaled by its thread count once observations
-  /// exist, the static device_gflops model before that.
-  double calibrated_gflops(int lane, const DeviceSpec& device,
-                           int threads) const;
-
  private:
   double efficiency_;
-  mutable std::mutex observed_mutex_;
-  std::vector<LaneObservation> observed_;
 };
 
 }  // namespace tinge

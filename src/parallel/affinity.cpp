@@ -20,14 +20,6 @@ bool pin_current_thread(int cpu) {
 #endif
 }
 
-int current_cpu() {
-#if defined(__linux__)
-  return sched_getcpu();
-#else
-  return -1;
-#endif
-}
-
 const char* placement_name(Placement p) {
   switch (p) {
     case Placement::None: return "none";

@@ -15,11 +15,6 @@ enum class Placement {
 /// unsupported on this platform (the computation proceeds unpinned).
 bool pin_current_thread(int cpu);
 
-/// OS CPU the calling thread is running on right now, or -1 where the
-/// query is unsupported. A scheduling hint, not a guarantee — an unpinned
-/// thread may migrate the instant after the call returns.
-int current_cpu();
-
 const char* placement_name(Placement p);
 
 }  // namespace tinge::par

@@ -1,6 +1,5 @@
 #include "parallel/topology.h"
 
-#include <algorithm>
 #include <fstream>
 #include <thread>
 #include <vector>
@@ -59,54 +58,6 @@ Topology detect_host_topology() {
     }
   }
   return topo;
-}
-
-namespace {
-
-// Parses a sysfs cpulist ("0-3,8-11" style) into CPU ids.
-std::vector<int> parse_cpulist(const std::string& line) {
-  std::vector<int> cpus;
-  for (const auto field : split_view(line, ',')) {
-    const auto range = split_view(field, '-');
-    if (range.size() == 2) {
-      const auto lo = parse_int(range[0]);
-      const auto hi = parse_int(range[1]);
-      if (lo && hi && *hi >= *lo) {
-        for (long c = *lo; c <= *hi; ++c) cpus.push_back(static_cast<int>(c));
-      }
-    } else if (!trim(field).empty()) {
-      if (const auto c = parse_int(trim(field))) {
-        cpus.push_back(static_cast<int>(*c));
-      }
-    }
-  }
-  return cpus;
-}
-
-}  // namespace
-
-NumaLayout detect_numa_layout() {
-  NumaLayout layout;
-  std::vector<std::vector<int>> node_cpus;
-  for (int node = 0;; ++node) {
-    std::ifstream cpulist(strprintf(
-        "/sys/devices/system/node/node%d/cpulist", node));
-    if (!cpulist) break;
-    std::string line;
-    std::getline(cpulist, line);
-    node_cpus.push_back(parse_cpulist(line));
-  }
-  if (node_cpus.size() <= 1) return layout;  // single node: nothing to place
-
-  layout.nodes = static_cast<int>(node_cpus.size());
-  int max_cpu = -1;
-  for (const auto& cpus : node_cpus)
-    for (const int c : cpus) max_cpu = std::max(max_cpu, c);
-  layout.cpu_node.assign(static_cast<std::size_t>(max_cpu + 1), 0);
-  for (int node = 0; node < layout.nodes; ++node)
-    for (const int c : node_cpus[static_cast<std::size_t>(node)])
-      layout.cpu_node[static_cast<std::size_t>(c)] = node;
-  return layout;
 }
 
 }  // namespace tinge::par

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 namespace tinge::par {
 
@@ -36,25 +35,5 @@ struct Topology {
 /// Queries the machine this process runs on (Linux sysfs; falls back to
 /// hardware_concurrency with 1 thread/core).
 Topology detect_host_topology();
-
-/// NUMA shape of the host: how many memory nodes there are and which node
-/// each OS CPU belongs to. Drives the sweep's NUMA-aware tile scheduling
-/// (core/sweep.h): rank rows are first-touched per node and tiles are
-/// preferentially executed by threads on the node owning their row genes.
-struct NumaLayout {
-  int nodes = 1;
-  /// cpu_node[cpu] = node of OS CPU `cpu`; empty on single-node hosts.
-  std::vector<int> cpu_node;
-
-  /// Node of OS CPU `cpu` (0 when unknown / single-node).
-  int node_of_cpu(int cpu) const {
-    if (cpu < 0 || cpu >= static_cast<int>(cpu_node.size())) return 0;
-    return cpu_node[static_cast<std::size_t>(cpu)];
-  }
-};
-
-/// Reads /sys/devices/system/node; returns a single-node layout when the
-/// sysfs tree is absent (non-Linux, containers with masked sysfs).
-NumaLayout detect_numa_layout();
 
 }  // namespace tinge::par

@@ -90,9 +90,8 @@ class RankedMatrix {
 /// bit-identical to the uint32 path).
 ///
 /// Rows are allocated untouched and filled via fill_rows so the engine can
-/// partition the fill across threads: under Linux's first-touch policy the
-/// filling thread's NUMA node gets the pages, co-locating each gene block
-/// with the node that sweeps it (see NumaTilePlan in core/sweep.h).
+/// split the fill across its pool, one contiguous block of gene rows per
+/// context.
 class StagedRankMatrix {
  public:
   /// Largest sample count a uint16 rank can index (ranks are 0..m-1).

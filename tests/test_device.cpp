@@ -146,52 +146,6 @@ TEST(PerfModel, ScalingCurveMatchesPointPredictions) {
   EXPECT_GT(curve.front(), curve.back());
 }
 
-// ---- live calibration ----------------------------------------------------------
-
-TEST(PerfModel, AssumedEfficiencyCtorClamps) {
-  EXPECT_DOUBLE_EQ(PerfModel(0.3).efficiency(), 0.3);
-  EXPECT_DOUBLE_EQ(PerfModel(7.0).efficiency(), 1.0);
-  EXPECT_DOUBLE_EQ(PerfModel(1e-9).efficiency(), 0.01);
-  EXPECT_THROW(PerfModel(0.0), ContractViolation);
-  EXPECT_THROW(PerfModel(-1.0), ContractViolation);
-}
-
-TEST(PerfModel, ObserveAccumulatesPerLane) {
-  PerfModel model(0.3);
-  EXPECT_DOUBLE_EQ(model.observed_gflops(0), 0.0);
-  EXPECT_EQ(model.observation(5).tiles, 0u);  // out of range reads as empty
-
-  const MiWorkload tile{200, 100, 3, 10};
-  model.observe(0, tile, 0.5);
-  model.observe(0, tile, 1.5);
-  model.observe(1, tile, 1.0);
-
-  const LaneObservation lane0 = model.observation(0);
-  EXPECT_EQ(lane0.tiles, 2u);
-  EXPECT_EQ(lane0.pairs, 400u);
-  EXPECT_DOUBLE_EQ(lane0.seconds, 2.0);
-  EXPECT_DOUBLE_EQ(lane0.flops, 2.0 * tile.flops());
-  EXPECT_DOUBLE_EQ(model.observed_gflops(0), tile.flops() / 1e9);
-  EXPECT_EQ(model.observation(1).tiles, 1u);
-}
-
-TEST(PerfModel, CalibratedGflopsPrefersObservations) {
-  PerfModel model(0.3);
-  const DeviceSpec host = host_device();
-  // Unobserved lanes fall back to the static analytic model.
-  EXPECT_DOUBLE_EQ(model.calibrated_gflops(0, host, 4),
-                   model.device_gflops(host, 4));
-  // One observation replaces the model: a tile of known flops in 1 second
-  // gives an exact per-thread rate, scaled by the requested thread count.
-  const MiWorkload tile{1000, 500, 3, 10};
-  model.observe(0, tile, 1.0);
-  EXPECT_DOUBLE_EQ(model.calibrated_gflops(0, host, 4),
-                   4.0 * tile.flops() / 1e9);
-  // Other lanes stay on the static model.
-  EXPECT_DOUBLE_EQ(model.calibrated_gflops(1, host, 4),
-                   model.device_gflops(host, 4));
-}
-
 TEST(Offload, LaneSplitProportionalToRates) {
   const std::vector<double> f = plan_lane_split({3.0, 1.0});
   ASSERT_EQ(f.size(), 2u);
@@ -199,15 +153,6 @@ TEST(Offload, LaneSplitProportionalToRates) {
   EXPECT_NEAR(f[1], 0.25, 1e-12);
   EXPECT_THROW(plan_lane_split({}), ContractViolation);
   EXPECT_THROW(plan_lane_split({1.0, 0.0}), ContractViolation);
-}
-
-TEST(Offload, LaneDeviceNarrowsScalarKernels) {
-  const DeviceSpec host = host_device();
-  EXPECT_EQ(lane_device(host, MiKernel::Scalar).vector_bits, 32);
-  EXPECT_EQ(lane_device(host, MiKernel::Unrolled).vector_bits, 32);
-  EXPECT_EQ(lane_device(host, MiKernel::Simd).vector_bits, host.vector_bits);
-  EXPECT_LT(lane_device(host, MiKernel::Scalar).peak_sp_gflops(),
-            lane_device(host, MiKernel::Simd).peak_sp_gflops());
 }
 
 // ---- offload -------------------------------------------------------------------

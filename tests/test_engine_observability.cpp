@@ -45,12 +45,12 @@ class EngineObservability : public ::testing::Test {
     ranked_ = RankedMatrix(matrix);
   }
 
-  // Kernel pinned so every path resolves the identical variant (Auto's
-  // measured pick could legitimately differ between calls).
-  TingeConfig config() const {
+  // Kernel pinned so every path resolves the identical variant.
+  TingeConfig config(int team_size = 1) const {
     TingeConfig c;
     c.tile_size = 8;
     c.threads = 2;
+    c.team_size = team_size;
     c.kernel = MiKernel::Scalar;
     c.progress_tile_interval = 1;
     return c;
@@ -94,11 +94,10 @@ TEST_F(EngineObservability, StatsRequestDoesNotChangeTheCheckpointedNetwork) {
 TEST_F(EngineObservability, StatsRequestDoesNotChangeTheTeamedNetwork) {
   const MiEngine engine(estimator_, ranked_);
   par::ThreadPool pool(2);
-  const GeneNetwork bare =
-      engine.compute_network_teamed(kThreshold, config(), pool, 2);
+  const GeneNetwork bare = engine.compute_network(kThreshold, config(2), pool);
   EngineStats stats;
   const GeneNetwork observed =
-      engine.compute_network_teamed(kThreshold, config(), pool, 2, &stats);
+      engine.compute_network(kThreshold, config(2), pool, &stats);
   expect_identical(bare, observed);
   EXPECT_EQ(stats.edges_emitted, observed.n_edges());
 }
@@ -129,7 +128,7 @@ TEST_F(EngineObservability, AllFourPathsReportConsistentStats) {
   engine.compute_network_checkpointed(kThreshold, config(), pool,
                                       checkpoint_path("consistency"),
                                       &checkpointed);
-  engine.compute_network_teamed(kThreshold, config(), pool, 2, &teamed);
+  engine.compute_network(kThreshold, config(2), pool, &teamed);
   engine.compute_dense(config(), pool, &dense);
 
   constexpr std::size_t kPairs = kGenes * (kGenes - 1) / 2;

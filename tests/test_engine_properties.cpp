@@ -152,9 +152,10 @@ TEST_P(TeamSweep, TeamedNetworkMatchesPlainEngine) {
   const double threshold = 0.15;
 
   const GeneNetwork plain = engine.compute_network(threshold, config, pool);
+  config.team_size = team_size;
   EngineStats stats;
   const GeneNetwork teamed =
-      engine.compute_network_teamed(threshold, config, pool, team_size, &stats);
+      engine.compute_network(threshold, config, pool, &stats);
 
   ASSERT_EQ(teamed.n_edges(), plain.n_edges());
   for (std::size_t i = 0; i < plain.n_edges(); ++i) {
@@ -181,8 +182,8 @@ TEST(TeamMode, RejectsIndivisibleTeamSize) {
   par::ThreadPool pool(4);
   TingeConfig config;
   config.threads = 4;
-  EXPECT_THROW(engine.compute_network_teamed(0.1, config, pool, 3),
-               ContractViolation);
+  config.team_size = 3;
+  EXPECT_THROW(engine.compute_network(0.1, config, pool), ContractViolation);
 }
 
 }  // namespace

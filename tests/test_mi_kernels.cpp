@@ -141,7 +141,7 @@ TEST(KernelScratch, ReplicatedLeavesMassInFirstReplicaOnly) {
   JointHistogram scratch = estimator.make_scratch();
   const auto rx = random_ranks(m, 5);
   const auto ry = random_ranks(m, 6);
-  estimator.joint_entropy(rx, ry, scratch, MiKernel::Replicated);
+  estimator.joint_entropy(rx, ry, scratch, MiKernel::Simd);
   double replica0 = 0.0;
   for (int row = 0; row < bins; ++row)
     for (std::size_t c = 0; c < scratch.stride(); ++c)

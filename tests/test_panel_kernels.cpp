@@ -140,13 +140,13 @@ TEST(PanelScratch, PanelAndPairCallsInterleaveSafely) {
 
   const double pair_first =
       tinge::joint_entropy(estimator.table(), rx.data(), a.data(), m, scratch,
-                           MiKernel::Replicated);
+                           MiKernel::Simd);
   double panel[2];
   joint_entropy_panel(estimator.table(), rx.data(), ry, 2, m, scratch,
                       MiKernel::Auto, panel);
   const double pair_again =
       tinge::joint_entropy(estimator.table(), rx.data(), a.data(), m, scratch,
-                           MiKernel::Replicated);
+                           MiKernel::Simd);
   EXPECT_EQ(pair_first, pair_again);
   double panel_again[2];
   joint_entropy_panel(estimator.table(), rx.data(), ry, 2, m, scratch,

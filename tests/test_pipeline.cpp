@@ -100,7 +100,7 @@ TEST(Pipeline, KernelChoiceDoesNotChangeTheNetworkEdgeSet) {
   TingeConfig config = fast_config();
   config.kernel = MiKernel::Scalar;
   const BuildResult scalar = NetworkBuilder(config).build(dataset.expression);
-  config.kernel = MiKernel::Replicated;
+  config.kernel = MiKernel::Simd;
   const BuildResult simd = NetworkBuilder(config).build(dataset.expression);
   // Float summation order differs, so weights may differ in the last ulp;
   // the edge sets must still coincide away from the threshold boundary.

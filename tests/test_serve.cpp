@@ -243,6 +243,29 @@ TEST(ServeState, DpiNetworkMatchesTheBatchPipeline) {
   EXPECT_EQ(adjacency_entries, 2 * served.size());
 }
 
+TEST(ServeState, ConsensusNetworkMatchesTheBatchPipeline) {
+  TingeConfig config = test_config();
+  config.consensus_resamples = 3;
+  config.apply_dpi = true;
+  const ExpressionMatrix expression = test_expression(80, 96);
+  const ServeState state(expression.clone(), config, ServeOptions{});
+  const BuildResult built = NetworkBuilder(config).build(expression);
+  ASSERT_GT(built.consensus.kept_edges, 0u);
+  EXPECT_EQ(state.consensus_stats().candidate_edges,
+            built.consensus.candidate_edges);
+  EXPECT_EQ(state.consensus_stats().kept_edges, built.consensus.kept_edges);
+  EXPECT_EQ(state.dpi_stats().edges_removed, built.dpi_stats.edges_removed);
+  ASSERT_EQ(state.network().n_edges(), built.network.n_edges());
+  const auto served = state.network().edges();
+  const auto batch = built.network.edges();
+  for (std::size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].u, batch[i].u);
+    EXPECT_EQ(served[i].v, batch[i].v);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(served[i].weight),
+              std::bit_cast<std::uint32_t>(batch[i].weight));
+  }
+}
+
 // ---- the daemon over real sockets ------------------------------------------
 
 class ServeDaemonTest : public ::testing::Test {

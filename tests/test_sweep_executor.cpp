@@ -74,11 +74,9 @@ TEST_P(SweepExecutorTest, EverySchedulerAndSinkConfigurationAgrees) {
       engine.compute_network(kThreshold, config(), pool);
   ASSERT_GT(plain.n_edges(), 0u);
 
-  // Teamed scheduler, via the config knob and via the named entry point.
+  // Teamed scheduler.
   expect_identical(plain,
                    engine.compute_network(kThreshold, config(2), pool));
-  expect_identical(
-      plain, engine.compute_network_teamed(kThreshold, config(), pool, 2));
 
   // Journal sink, fresh run, under both schedulers.
   expect_identical(plain, engine.compute_network_checkpointed(
@@ -171,18 +169,16 @@ TEST(SweepTeamValidation, RejectsTeamSizeNotDividingPoolWidth) {
   par::ThreadPool pool(4);
   TingeConfig config;
   config.threads = 4;
+  config.team_size = 3;
 
   try {
-    engine.compute_network_teamed(0.2, config, pool, 3);
+    engine.compute_network(0.2, config, pool);
     FAIL() << "team_size 3 over 4 threads must be rejected";
   } catch (const ContractViolation& error) {
     const std::string message = error.what();
     EXPECT_NE(message.find("team_size 3"), std::string::npos) << message;
     EXPECT_NE(message.find("divide"), std::string::npos) << message;
   }
-  // Same rejection through the config knob.
-  config.team_size = 3;
-  EXPECT_THROW(engine.compute_network(0.2, config, pool), ContractViolation);
 }
 
 TEST(SweepTeamValidation, TeamSizeEqualToPoolWidthIsOneTeam) {
@@ -203,9 +199,10 @@ TEST(SweepTeamValidation, TeamSizeEqualToPoolWidthIsOneTeam) {
   config.tile_size = 8;
 
   const GeneNetwork plain = engine.compute_network(0.2, config, pool);
+  config.team_size = 4;
   EngineStats stats;
   const GeneNetwork one_team =
-      engine.compute_network_teamed(0.2, config, pool, 4, &stats);
+      engine.compute_network(0.2, config, pool, &stats);
   ASSERT_EQ(plain.n_edges(), one_team.n_edges());
   for (std::size_t i = 0; i < plain.n_edges(); ++i)
     EXPECT_EQ(plain.edges()[i], one_team.edges()[i]);
