@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
            "both");
   args.add("straggler-ms", "per-tile straggle injected on rank 1 in the "
            "elastic comparison", "20");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv,
+                    "T4: single chip vs simulated cluster transports.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
 
   // Reference: the single-chip engine (what the paper builds). One warmup
   // pass first so the timed run is not paying page faults and ramp-up.
-  const MiEngine engine(estimator, data.ranked());
+  const MiEngine engine(statistic, data.ranked());
   par::ThreadPool pool(1);
   TingeConfig single_config;
   single_config.threads = 1;

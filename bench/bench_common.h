@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "simd/feature.h"
 #include "stats/rng.h"
 #include "synth/expression.h"
+#include "util/args.h"
 #include "util/str.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -37,6 +40,24 @@ inline void print_header(const std::string& title, const std::string& what) {
   std::printf("isa: %s\n", simd::isa_report().c_str());
   std::printf("host: %s\n", par::detect_host_topology().to_string().c_str());
   std::printf("==================================================================\n\n");
+}
+
+/// Parses a harness's flags the way the example CLIs do: declares --help
+/// (usage on stdout, exit 0) and turns a parse error into "error: ..." on
+/// stderr with exit 2. Returns only when the run should go ahead.
+inline void parse_args(ArgParser& args, int argc, char** argv,
+                       const std::string& summary) {
+  args.add_flag("help", "show this help");
+  try {
+    args.parse(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+  }
+  if (args.get_flag("help")) {
+    std::fputs(args.usage(argv[0], summary).c_str(), stdout);
+    std::exit(0);
+  }
 }
 
 /// Random-permutation rank profiles — the exact data shape the MI engine
@@ -68,7 +89,7 @@ class EngineFixture {
   EngineFixture(std::size_t n_genes, std::size_t m, std::uint64_t seed = 99)
       : data_(n_genes, m, seed),
         estimator_(10, 3, m),
-        engine_(estimator_, data_.ranked()) {}
+        engine_(statistic_, data_.ranked()) {}
 
   const RankedMatrix& ranked() const { return data_.ranked(); }
   const BsplineMi& estimator() const { return estimator_; }
@@ -77,6 +98,7 @@ class EngineFixture {
  private:
   RandomRanks data_;
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   MiEngine engine_;
 };
 

@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   args.add("genes", "genes for the comparison workload", "15575");
   args.add("samples", "experiments per gene", "3137");
   args.add("json", "write BENCH_device.json", "1");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv,
+                    "T2: Xeon vs Xeon Phi comparison (modeled).");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

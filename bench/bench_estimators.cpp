@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
   ArgParser args;
   args.add("genes", "genes for the recovery panel", "80");
   args.add("samples", "experiments per gene", "400");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "A1: estimator-quality ablation.");
 
   bench::print_header(
       "A1: estimator-quality ablation",

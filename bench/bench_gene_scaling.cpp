@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   args.add("samples", "experiments per gene", "384");
   args.add("max-genes", "largest gene count in the sweep", "1024");
   args.add("threads", "threads to run with", "0");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "F3: runtime vs number of genes.");
 
   const auto m = static_cast<std::size_t>(args.get_int("samples"));
   const auto max_genes = static_cast<std::size_t>(args.get_int("max-genes"));

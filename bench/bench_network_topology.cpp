@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
   ArgParser args;
   args.add("genes", "genes in the compendium", "800");
   args.add("samples", "experiments per gene", "384");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "F6: inferred-network characterization.");
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));
 

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   args.add("samples", "experiments per gene", "512");
   args.add("permutations", "q draws per test", "500");
   args.add("alpha", "significance level", "0.01");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv,
+                    "T3: universal null vs per-pair permutation test.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

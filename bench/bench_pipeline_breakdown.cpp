@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   args.add("permutations", "null-distribution draws", "2000");
   args.add("alpha", "significance level", "0.001");
   args.add_flag("dpi", "apply the DPI post-processing stage");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "T1: per-stage time breakdown.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   args.add("genes", "genes in the test matrix", "256");
   args.add("max-samples", "largest sample count in the sweep", "4096");
   args.add("threads", "threads to run with", "0");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "F4: runtime vs number of experiments.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto max_m = static_cast<std::size_t>(args.get_int("max-samples"));

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   args.add("samples", "experiments per gene", "512");
   args.add("max-threads", "largest thread count to sweep", "16");
   args.add("schedule", "static|dynamic|guided", "dynamic");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "F1: strong scaling vs thread count.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

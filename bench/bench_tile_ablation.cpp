@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   args.add("genes", "genes in the test matrix", "512");
   args.add("samples", "experiments per gene", "2048");
   args.add("threads", "threads to run with", "0");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv, "F5: cache-blocking tile-size ablation.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

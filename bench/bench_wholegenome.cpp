@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   args.add("permutations", "null draws q", "2000");
   args.add("alpha", "significance level", "0.0001");
   args.add("threads", "threads (0 = all)", "0");
-  args.parse(argc, argv);
+  bench::parse_args(args, argc, argv,
+                    "E1: headline end-to-end run + extrapolation.");
 
   const auto n = static_cast<std::size_t>(args.get_int("genes"));
   const auto m = static_cast<std::size_t>(args.get_int("samples"));

@@ -132,10 +132,8 @@ int main(int argc, char** argv) {
     const bool quiet = args.get_flag("quiet") || rank != 0;
     const ExpressionMatrix expression = cli::load_dataset(args, quiet);
 
-    cluster::LocalPipelineHooks hooks;
-    hooks.cancel = &g_terminate;
     const cluster::ShardedBuildResult result =
-        cluster::sharded_build(comm, expression, config, hooks);
+        cluster::sharded_build(comm, expression, config, &g_terminate);
 
     if (rank == 0) {
       cli::write_network_outputs(args, result.network, result.null);

@@ -16,8 +16,6 @@
 #include "cluster/tcp_transport.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
-#include "parallel/topology.h"
-#include "preprocess/filter.h"
 #include "util/contracts.h"
 #include "util/str.h"
 #include "util/timer.h"
@@ -35,6 +33,12 @@ void throw_socket_errno(const char* what) {
                                      std::strerror(errno)));
 }
 
+TingeConfig with_serve_threads(TingeConfig config,
+                               const ServeOptions& options) {
+  if (options.threads > 0) config.threads = options.threads;
+  return config;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -42,104 +46,43 @@ void throw_socket_errno(const char* what) {
 
 ServeState::ServeState(ExpressionMatrix&& expression,
                        const TingeConfig& config, const ServeOptions& options)
-    : config_(config),
-      working_(std::move(expression)),
+    : pool_(pipeline_threads(with_serve_threads(config, options))),
+      session_(std::move(expression), with_serve_threads(config, options),
+               pool_),
+      // keep_checkpoint: the completed journal stays behind, so the next
+      // daemon start replays it (build_stats().tiles_resumed == tiles)
+      // instead of recomputing the triangle.
+      built_(session_.build_network({}, /*keep_checkpoint=*/true)),
+      adjacency_(built_.network),
       cache_(options.cache_bytes),
       dataset_id_(options.dataset_id) {
-  if (options.threads > 0) config_.threads = options.threads;
-  config_.validate();
-
-  // The build below runs the single-process pipeline stages in exactly the
-  // order sharded_build's p == 1 path does — impute, filter, rank,
-  // statistic, null, threshold, sweep (or consensus), DPI — so everything
-  // the daemon serves is bit-identical to what the batch pipeline would
-  // have written.
-  impute_missing_with_median(working_);
-  {
-    FilterResult filtered = filter_genes(working_, config_.filter);
-    TINGE_EXPECTS(filtered.matrix.n_genes() >= 2);
-    working_ = std::move(filtered.matrix);
-  }
-  const int pool_threads = config_.threads > 0
-                               ? config_.threads
-                               : par::detect_host_topology().total_threads();
-  pool_ = std::make_unique<par::ThreadPool>(pool_threads);
-  ranked_ = RankedMatrix(working_, *pool_, config_.threads);
-
-  EstimatorSlot primary;
-  primary.statistic = make_pair_statistic(config_, ranked_, &working_);
-
-  null_ = std::make_shared<EmpiricalDistribution>(build_null_distribution(
-      *primary.statistic, config_.permutations, config_.seed, *pool_,
-      config_.threads));
-  threshold_ = threshold_for_alpha(*null_, config_.alpha);
-  obs::MetricsRegistry::global().gauge("null.threshold").set(threshold_);
-
-  const MiEngine engine(*primary.statistic, ranked_);
-  if (config_.consensus_resamples > 0) {
-    // Consensus mode, as sharded_build's single-rank stage 4: the network
-    // is the bootstrap vote over every selected estimator, weighted by
-    // support frequency. The primary null and threshold above stay.
-    network_ = build_consensus_network(working_, ranked_, config_, *pool_, {},
-                                       &consensus_stats_);
-  } else if (config_.checkpoint_path.empty()) {
-    network_ =
-        engine.compute_network(threshold_, config_, *pool_, &build_stats_);
-  } else {
-    // keep_checkpoint: the completed journal stays behind, so the next
-    // daemon start replays it (build_stats_.tiles_resumed == tiles) instead
-    // of recomputing the triangle.
-    network_ = engine.compute_network_checkpointed(
-        threshold_, config_, *pool_, config_.checkpoint_path, &build_stats_,
-        {}, /*keep_checkpoint=*/true);
-  }
-  if (config_.apply_dpi)
-    network_ = apply_dpi(network_, config_.dpi_tolerance, &dpi_stats_,
-                         *pool_, config_.threads);
-  adjacency_ = std::make_unique<Adjacency>(network_);
-
-  primary.engine = std::make_unique<MiQueryEngine>(
-      *primary.statistic, ranked_, config_, pool_.get(), cache_, dataset_id_);
-  estimators_.emplace(config_.estimator, std::move(primary));
+  query_engine(session_.config().estimator);
 }
 
 MiQueryEngine& ServeState::query_engine(EstimatorKind estimator) {
   std::lock_guard<std::mutex> lock(estimators_mutex_);
   auto it = estimators_.find(estimator);
   if (it == estimators_.end()) {
-    TingeConfig config = config_;
-    config.estimator = estimator;
+    TingeConfig config = session_.config();
     EstimatorSlot slot;
-    slot.statistic = make_pair_statistic(config, ranked_, &working_);
+    const PairStatistic* statistic = &session_.statistic();
+    if (estimator != config.estimator) {
+      config.estimator = estimator;
+      slot.statistic = make_pair_statistic(config, session_.ranked(),
+                                           &session_.working());
+      statistic = slot.statistic.get();
+    }
     slot.engine = std::make_unique<MiQueryEngine>(
-        *slot.statistic, ranked_, config, pool_.get(), cache_, dataset_id_);
+        *statistic, session_.ranked(), config, &pool_, cache_, dataset_id_);
     it = estimators_.emplace(estimator, std::move(slot)).first;
   }
   return *it->second.engine;
 }
 
-EngineStats ServeState::run_sweep_job(
-    const std::function<void(std::size_t, std::size_t)>& progress) {
+SessionNetwork ServeState::run_sweep_job(
+    const DatasetSession::Progress& progress) {
   std::lock_guard<std::mutex> job_lock(sweep_job_mutex_);
-  const PairStatistic* statistic = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(estimators_mutex_);
-    statistic = estimators_.at(config_.estimator).statistic.get();
-  }
-  const MiEngine engine(*statistic, ranked_);
-  EngineStats stats;
-  if (config_.checkpoint_path.empty()) {
-    // The plain engine has no per-tile callback; report the endpoints so a
-    // client still sees the job start and finish.
-    if (progress) progress(0, 1);
-    engine.compute_network(threshold_, config_, *pool_, &stats);
-    if (progress) progress(1, 1);
-  } else {
-    engine.compute_network_checkpointed(threshold_, config_, *pool_,
-                                        config_.checkpoint_path, &stats,
-                                        progress, /*keep_checkpoint=*/true);
-  }
-  return stats;
+  return session_.build_network(progress, /*keep_checkpoint=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,13 +451,18 @@ void ServeServer::serve_request(int fd, std::mutex& send_mutex,
           std::lock_guard<std::mutex> lock(send_mutex);
           write_frame(fd, kFrameServeEvent, tag, text.data(), text.size());
         };
-        const EngineStats stats = state_.run_sweep_job(progress);
+        const SessionNetwork built = state_.run_sweep_job(progress);
+        const EngineStats& stats = built.engine;
+        // A consensus daemon's sweeps are the vote's members, which its
+        // ConsensusStats summarize.
+        const bool consensus = built.consensus.resamples > 0;
         obs::Json summary = obs::Json::object();
-        summary["pairs"] = static_cast<double>(stats.pairs_computed);
-        summary["edges"] = static_cast<double>(stats.edges_emitted);
+        summary["pairs"] = static_cast<double>(
+            consensus ? built.consensus.pairs_computed : stats.pairs_computed);
+        summary["edges"] = static_cast<double>(built.network.n_edges());
         summary["tiles"] = static_cast<double>(stats.tiles);
         summary["tiles_resumed"] = static_cast<double>(stats.tiles_resumed);
-        summary["seconds"] = stats.seconds;
+        summary["seconds"] = consensus ? built.consensus.seconds : stats.seconds;
         summary["kernel"] = stats.kernel;
         summary["estimator"] = stats.estimator;
         const std::string text = summary.dump();

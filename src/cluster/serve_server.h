@@ -19,10 +19,12 @@
 // kernel, block), so a warm pair query is a hash lookup, test-enforced via
 // the serve.cache.hits counter.
 //
-// Startup either computes the network or restores it: when the config
-// names a checkpoint path, the build runs the checkpointed engine with
-// keep_checkpoint, so a daemon restart replays the completed journal
-// instead of recomputing the triangle.
+// Startup runs a DatasetSession, the batch pipeline's stages, so the
+// daemon serves the network tinge_cli writes; a sweep job re-runs the
+// session's network stage. Startup either computes the network or restores
+// it: when the config names a checkpoint path, the build runs the
+// checkpointed engine with keep_checkpoint, so a daemon restart replays the
+// completed journal instead of recomputing the triangle.
 #pragma once
 
 #include <atomic>
@@ -40,16 +42,12 @@
 
 #include "cluster/serve_protocol.h"
 #include "core/config.h"
-#include "core/consensus.h"
-#include "core/dpi.h"
-#include "core/mi_engine.h"
+#include "core/dataset_session.h"
 #include "core/mi_query.h"
-#include "core/null_distribution.h"
 #include "core/pair_statistic.h"
 #include "data/expression_matrix.h"
 #include "graph/network.h"
 #include "parallel/thread_pool.h"
-#include "preprocess/rank_transform.h"
 
 namespace tinge::cluster {
 
@@ -75,65 +73,61 @@ struct ServeOptions {
   std::string dataset_id = "default";
 };
 
-/// Everything the daemon keeps resident for one dataset: the preprocessed
-/// expression matrix (Pearson reads raw values), the ranked matrix the
-/// kernels sweep, the permutation null and its threshold, the thresholded
-/// network with its adjacency index, the shared tile cache, and one lazy
-/// MiQueryEngine per estimator queried so far.
+/// Everything the daemon keeps resident for one dataset: its
+/// DatasetSession (the preprocessed expression matrix Pearson reads, the
+/// ranked matrix the kernels sweep, the primary statistic, the permutation
+/// null and its threshold), the served network with its adjacency index,
+/// the shared tile cache, and one lazy MiQueryEngine per estimator queried
+/// so far.
 class ServeState {
  public:
-  /// Runs the single-process pipeline stages (impute, filter, rank,
-  /// statistic, null, threshold, sweep — or the consensus vote when
-  /// config.consensus_resamples > 0 — and DPI when config.apply_dpi)
-  /// exactly as sharded_build's p == 1 path does — same stage order, same
-  /// calls — so every value the daemon later serves is bit-identical to the
-  /// batch pipeline for this config.
-  /// When config.checkpoint_path is set the sweep runs checkpointed with
-  /// keep_checkpoint, so a completed journal from a previous run (or a
-  /// crashed one) restores / resumes the network instead of recomputing.
+  /// Runs the session's stages, exactly as the batch pipeline does, so
+  /// every value the daemon later serves is bit-identical to the batch
+  /// pipeline for this config: the network is the thresholded sweep (or
+  /// the consensus vote when config.consensus_resamples > 0), DPI-pruned
+  /// when config.apply_dpi. ServeOptions::threads, when set, overrides
+  /// config.threads. When config.checkpoint_path is set the sweep runs
+  /// checkpointed with keep_checkpoint, so a completed journal from a
+  /// previous run (or a crashed one) restores / resumes the network
+  /// instead of recomputing.
   ServeState(ExpressionMatrix&& expression, const TingeConfig& config,
              const ServeOptions& options);
 
-  const TingeConfig& config() const { return config_; }
-  const GeneNetwork& network() const { return network_; }
-  const Adjacency& adjacency() const { return *adjacency_; }
-  const RankedMatrix& ranked() const { return ranked_; }
-  double threshold() const { return threshold_; }
+  const TingeConfig& config() const { return session_.config(); }
+  const GeneNetwork& network() const { return built_.network; }
+  const Adjacency& adjacency() const { return adjacency_; }
+  const RankedMatrix& ranked() const { return session_.ranked(); }
+  double threshold() const { return session_.threshold(); }
   /// The sweep's stats; default-valued in consensus mode, whose sweeps
   /// consensus_stats() summarizes instead.
-  const EngineStats& build_stats() const { return build_stats_; }
-  const ConsensusStats& consensus_stats() const { return consensus_stats_; }
-  const DpiStats& dpi_stats() const { return dpi_stats_; }
+  const EngineStats& build_stats() const { return built_.engine; }
+  const ConsensusStats& consensus_stats() const { return built_.consensus; }
+  const DpiStats& dpi_stats() const { return built_.dpi; }
   TileCache& cache() { return cache_; }
-  par::ThreadPool& pool() { return *pool_; }
-  std::size_t n_genes() const { return ranked_.n_genes(); }
+  par::ThreadPool& pool() { return pool_; }
+  std::size_t n_genes() const { return session_.ranked().n_genes(); }
 
   /// The query engine for one estimator, created (with its statistic) on
   /// first use and kept for the daemon's lifetime. Thread-safe.
   MiQueryEngine& query_engine(EstimatorKind estimator);
 
-  /// Re-runs the thresholded network sweep (the SweepJob query), invoking
-  /// `progress(done, total)` as tiles complete. Returns the stats of the
-  /// pass. Serialized: concurrent jobs queue on an internal mutex.
-  EngineStats run_sweep_job(
-      const std::function<void(std::size_t, std::size_t)>& progress);
+  /// Re-runs the session's network stage (the SweepJob query), so the job
+  /// rebuilds the network the daemon serves, invoking `progress(done,
+  /// total)` as DatasetSession::build_network describes. A checkpointed
+  /// daemon keeps its journal. Serialized: concurrent jobs queue on an
+  /// internal mutex.
+  SessionNetwork run_sweep_job(const DatasetSession::Progress& progress);
 
  private:
-  TingeConfig config_;
-  ExpressionMatrix working_;  // post-filter; statistics may reference it
-  RankedMatrix ranked_;
-  std::shared_ptr<EmpiricalDistribution> null_;
-  double threshold_ = 0.0;
-  std::unique_ptr<par::ThreadPool> pool_;
-  GeneNetwork network_;
-  std::unique_ptr<Adjacency> adjacency_;
-  EngineStats build_stats_;
-  ConsensusStats consensus_stats_;
-  DpiStats dpi_stats_;
+  par::ThreadPool pool_;
+  DatasetSession session_;
+  SessionNetwork built_;
+  Adjacency adjacency_;
   TileCache cache_;
   std::string dataset_id_;
 
   struct EstimatorSlot {
+    /// Null for the session's own estimator, whose statistic it owns.
     std::unique_ptr<PairStatistic> statistic;
     std::unique_ptr<MiQueryEngine> engine;
   };

@@ -6,31 +6,15 @@
 #include <utility>
 
 #include "cluster/lease_mi.h"
-#include "core/mi_engine.h"
+#include "core/dataset_session.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "preprocess/filter.h"
-#include "preprocess/rank_transform.h"
-#include "util/str.h"
 #include "util/timer.h"
 
 namespace tinge::cluster {
 
 namespace {
-
-// A stage span that exists only when a local caller grafted a trace on;
-// the cluster CLI path runs span-free.
-class OptionalSpan {
- public:
-  OptionalSpan(obs::Trace* trace, const char* name) {
-    if (trace != nullptr) span_.emplace(*trace, name);
-  }
-
- private:
-  std::optional<obs::TraceSpan> span_;
-};
 
 // Collective tags, far above the ring sweep's range (ring uses 1..p and
 // 10000/10001).
@@ -55,32 +39,27 @@ struct TrafficReport {
 };
 static_assert(std::is_trivially_copyable_v<TrafficReport>);
 
-/// Rank 0 builds the weight table; everyone else receives it. Keeps every
+/// Rank 0 sends its weight table to every other rank, which keeps every
 /// rank's estimator bit-identical without re-deriving the basis per rank.
-BsplineMi broadcast_estimator(Comm& comm, const RankedMatrix& ranked,
-                              const TingeConfig& config) {
-  const int p = comm.size();
-  if (comm.rank() == 0) {
-    BsplineMi estimator(config.bins, config.spline_order, ranked.n_samples());
-    const WeightTable& table = estimator.table();
-    TableMeta meta;
-    meta.m = table.n_samples();
-    meta.bins = table.bins();
-    meta.order = table.order();
-    meta.weight_stride = table.weight_stride();
-    meta.marginal_entropy = table.marginal_entropy();
-    const std::vector<float> weights(
-        table.weights_data(),
-        table.weights_data() + meta.m * meta.weight_stride);
-    const std::vector<std::int32_t> first_bin(
-        table.first_bin_data(), table.first_bin_data() + meta.m);
-    for (int dest = 1; dest < p; ++dest) {
-      comm.send_vector(dest, std::vector<TableMeta>{meta}, kTagTableMeta);
-      comm.send_vector(dest, weights, kTagTableWeights);
-      comm.send_vector(dest, first_bin, kTagTableFirstBin);
-    }
-    return estimator;
+void broadcast_table(Comm& comm, const WeightTable& table) {
+  TableMeta meta;
+  meta.m = table.n_samples();
+  meta.bins = table.bins();
+  meta.order = table.order();
+  meta.weight_stride = table.weight_stride();
+  meta.marginal_entropy = table.marginal_entropy();
+  const std::vector<float> weights(
+      table.weights_data(), table.weights_data() + meta.m * meta.weight_stride);
+  const std::vector<std::int32_t> first_bin(table.first_bin_data(),
+                                            table.first_bin_data() + meta.m);
+  for (int dest = 1; dest < comm.size(); ++dest) {
+    comm.send_vector(dest, std::vector<TableMeta>{meta}, kTagTableMeta);
+    comm.send_vector(dest, weights, kTagTableWeights);
+    comm.send_vector(dest, first_bin, kTagTableFirstBin);
   }
+}
+
+BsplineMi receive_estimator(Comm& comm) {
   const TableMeta meta =
       comm.recv_vector<TableMeta>(0, kTagTableMeta).at(0);
   const std::vector<float> weights =
@@ -98,13 +77,13 @@ BsplineMi broadcast_estimator(Comm& comm, const RankedMatrix& ranked,
 ShardedBuildResult sharded_build(Comm& comm,
                                  const ExpressionMatrix& expression,
                                  const TingeConfig& config,
-                                 const LocalPipelineHooks& hooks) {
-  return sharded_build(comm, expression.clone(), config, hooks);
+                                 const std::atomic<bool>* cancel) {
+  return sharded_build(comm, expression.clone(), config, cancel);
 }
 
 ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
                                  const TingeConfig& config,
-                                 const LocalPipelineHooks& hooks) {
+                                 const std::atomic<bool>* cancel) {
   config.validate();
   const Stopwatch watch;
   const int r = comm.rank();
@@ -113,199 +92,90 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
   ShardedBuildResult result;
   result.genes_in = expression.n_genes();
 
-  // The pool-parallel stages (p == 1 rank, null, p == 1 sweep, DPI) share
-  // one pool: the caller's when grafted, otherwise one created on first use.
-  std::unique_ptr<par::ThreadPool> owned_pool;
-  const auto ensure_pool = [&]() -> par::ThreadPool& {
-    if (hooks.pool != nullptr) return *hooks.pool;
-    if (!owned_pool) {
-      const int pool_threads =
-          config.threads > 0 ? config.threads
-                             : par::detect_host_topology().total_threads();
-      owned_pool = std::make_unique<par::ThreadPool>(pool_threads);
-    }
-    return *owned_pool;
-  };
-
-  // Stage 1: rank-local preprocessing (deterministic on every rank).
-  ExpressionMatrix working = std::move(expression);
-  RankedMatrix ranked;
-  {
-    const OptionalSpan span(hooks.trace, "preprocess");
-    std::size_t dropped_low_variance = 0, dropped_missing = 0;
-    {
-      const OptionalSpan impute_span(hooks.trace, "impute");
-      result.imputed_cells = impute_missing_with_median(working);
-    }
-    {
-      const OptionalSpan filter_span(hooks.trace, "filter");
-      FilterResult filtered = filter_genes(working, config.filter);
-      result.genes_used = filtered.matrix.n_genes();
-      dropped_low_variance = filtered.dropped_low_variance;
-      dropped_missing = filtered.dropped_missing;
-      TINGE_EXPECTS(filtered.matrix.n_genes() >= 2);
-      working = std::move(filtered.matrix);
-    }
-    {
-      const OptionalSpan rank_span(hooks.trace, "rank");
-      // The single-process pipeline ranks on its pool; cluster ranks keep
-      // one thread each, like the rest of their rank-local stages.
-      ranked = p == 1 ? RankedMatrix(working, ensure_pool(), config.threads)
-                      : RankedMatrix(working);
-    }
-    result.samples = ranked.n_samples();
-    if (hooks.log)
-      hooks.log(strprintf("preprocess: %zu/%zu genes kept (%zu low-variance, "
-                          "%zu missing dropped), %zu cells imputed",
-                          result.genes_used, result.genes_in,
-                          dropped_low_variance, dropped_missing,
-                          result.imputed_cells));
-  }
-
-  // Stage 2: the pair statistic. B-spline keeps the shared weight table,
-  // built once on rank 0 and broadcast (bit-identical ranks without
-  // re-deriving the basis); every other estimator is derived locally per
-  // rank from the (deterministic) preprocessed data, so nothing crosses
-  // the wire.
-  const std::unique_ptr<PairStatistic> statistic = [&] {
-    const OptionalSpan span(hooks.trace, "weight_table");
-    if (config.estimator == EstimatorKind::Bspline)
-      return std::unique_ptr<PairStatistic>(std::make_unique<BsplineStat>(
-          broadcast_estimator(comm, ranked, config), config.kernel));
-    return make_pair_statistic(config, ranked, &working);
-  }();
-  result.marginal_entropy = statistic->marginal_entropy();
-  if (hooks.log) {
-    if (config.estimator == EstimatorKind::Bspline)
-      hooks.log(strprintf("weight table: b=%d k=%d m=%zu, H_marginal=%.4f "
-                          "nats",
-                          config.bins, config.spline_order,
-                          ranked.n_samples(), result.marginal_entropy));
-    else
-      hooks.log(strprintf("estimator: %s, m=%zu", statistic->name(),
-                          ranked.n_samples()));
-  }
-
-  // Stage 3: universal permutation null on rank 0, threshold broadcast.
-  // build_null_distribution is deterministic for a seed regardless of
-  // thread count, so one rank computing it reproduces the single-process
-  // pipeline exactly.
+  // Stages 1-3. Rank 0 runs them as a session on its pool; the other ranks
+  // preprocess on one thread each (deterministic, so they rank exactly as
+  // rank 0 does) and receive rank 0's weight table and threshold. Every
+  // statistic but B-spline is derived locally, so nothing else crosses the
+  // wire; the null is deterministic for a seed regardless of thread count,
+  // so computing it once on rank 0 is both cheaper and exactly what the
+  // single-process pipeline produces.
+  std::optional<par::ThreadPool> pool;
+  std::optional<DatasetSession> session;
+  PreprocessedData local;
+  std::unique_ptr<PairStatistic> received;
+  const RankedMatrix* ranked = nullptr;
+  const PairStatistic* statistic = nullptr;
   if (r == 0) {
-    {
-      const OptionalSpan span(hooks.trace, "null");
-      result.null = std::make_shared<EmpiricalDistribution>(
-          build_null_distribution(*statistic, config.permutations,
-                                  config.seed, ensure_pool(),
-                                  config.threads));
-    }
-    {
-      const OptionalSpan span(hooks.trace, "threshold");
-      result.threshold = threshold_for_alpha(*result.null, config.alpha);
-      obs::MetricsRegistry::global().gauge("null.threshold")
-          .set(result.threshold);
-      if (hooks.log)
-        hooks.log(strprintf("null: q=%zu draws, I_alpha(%.2e)=%.5f nats",
-                            config.permutations, config.alpha,
-                            result.threshold));
-    }
+    pool.emplace(pipeline_threads(config));
+    session.emplace(std::move(expression), config, *pool);
+    ranked = &session->ranked();
+    statistic = &session->statistic();
+    result.genes_used = session->genes_used();
+    result.imputed_cells = session->imputed_cells();
+    result.null = session->null();
+    result.threshold = session->threshold();
+    if (p > 1 && config.estimator == EstimatorKind::Bspline)
+      broadcast_table(comm,
+                      static_cast<const BsplineStat&>(*statistic)
+                          .bspline()
+                          .table());
     for (int dest = 1; dest < p; ++dest)
       comm.send_vector(dest, std::vector<double>{result.threshold},
                        kTagThreshold);
   } else {
+    local = preprocess_expression(std::move(expression), config, nullptr);
+    ranked = &local.ranked;
+    received = config.estimator == EstimatorKind::Bspline
+                   ? std::make_unique<BsplineStat>(receive_estimator(comm),
+                                                   config.kernel)
+                   : make_pair_statistic(config, local.ranked, &local.working);
+    statistic = received.get();
+    result.genes_used = local.genes_used;
+    result.imputed_cells = local.imputed_cells;
     result.threshold = comm.recv_vector<double>(0, kTagThreshold).at(0);
   }
+  result.samples = ranked->n_samples();
+  result.marginal_entropy = statistic->marginal_entropy();
 
-  // Stage 4: the all-pairs MI sweep. A single-rank cluster IS the
-  // single-process pipeline, so it runs the tiled multithreaded engine
-  // (checkpointing and teamed scheduling included); p > 1 runs the sweep
-  // config.cluster_balance selects — the TINGe-classic static ring, or the
-  // elastic rank-0 tile-lease protocol (lease_mi.h), one single-threaded
-  // sweep per rank either way.
+  // Stages 4-5. A single rank IS the single-process pipeline, so it runs
+  // the session's network stage (checkpointing and teamed scheduling
+  // included); p > 1 runs the sweep config.cluster_balance selects — the
+  // TINGe-classic static ring, or the elastic rank-0 tile-lease protocol
+  // (lease_mi.h), one single-threaded sweep per rank either way — and
+  // rank 0 applies DPI to the merged network.
   const bool lease = p > 1 && config.cluster_balance == "lease";
   std::vector<std::size_t> pairs_per_rank;
   std::vector<double> busy_per_rank;
   LeaseSweepReport lease_report;
-  {
-    const OptionalSpan span(hooks.trace, "mi_sweep");
-    if (p == 1 && config.consensus_resamples > 0) {
-      // Consensus mode: B bootstrap resamples x the selected estimators,
-      // every member sweep through the same engine. The stage-3 null and
-      // threshold above stay reported (they are the primary estimator's
-      // full-data values); the per-member thresholds live in
-      // result.consensus.thresholds.
-      result.network = build_consensus_network(
-          working, ranked, config, ensure_pool(), hooks.log,
-          &result.consensus);
-      pairs_per_rank.assign(1, result.consensus.pairs_computed);
-      if (hooks.log)
-        hooks.log(strprintf(
-            "consensus pass: %zu members, %zu candidate edges, %zu kept",
-            result.consensus.resamples * result.consensus.estimators,
-            result.consensus.candidate_edges, result.consensus.kept_edges));
-    } else if (p == 1) {
-      const MiEngine engine(*statistic, ranked);
-      EngineStats local_stats;
-      EngineStats* stats =
-          hooks.engine != nullptr ? hooks.engine : &local_stats;
-      if (config.checkpoint_path.empty()) {
-        result.network = engine.compute_network(result.threshold, config,
-                                                ensure_pool(), stats);
-      } else {
-        result.network = engine.compute_network_checkpointed(
-            result.threshold, config, ensure_pool(), config.checkpoint_path,
-            stats);
-      }
-      pairs_per_rank.assign(1, stats->pairs_computed);
-      if (hooks.log)
-        hooks.log(strprintf(
-            "mi pass: kernel=%s panel=%d, %zu pairs, %zu significant "
-            "edges (%.2f%%)",
-            stats->kernel, stats->panel_width, stats->pairs_computed,
-            result.network.n_edges(),
-            stats->pairs_computed > 0
-                ? 100.0 * static_cast<double>(result.network.n_edges()) /
-                      static_cast<double>(stats->pairs_computed)
-                : 0.0));
-    } else if (lease) {
-      result.network = lease_sweep(comm, *statistic, ranked, result.threshold,
-                                   config, &lease_report, hooks.cancel);
-      pairs_per_rank = lease_report.pairs_per_rank;
-      busy_per_rank = lease_report.busy_seconds_per_rank;
-      if (r == 0) {
-        obs::MetricsRegistry::global().counter("cluster.lease.granted")
-            .add(lease_report.leases_granted);
-        obs::MetricsRegistry::global().counter("cluster.lease.steals")
-            .add(lease_report.steals);
-        obs::MetricsRegistry::global().counter("cluster.lease.reclaimed")
-            .add(lease_report.tiles_reclaimed);
-        if (hooks.log)
-          hooks.log(strprintf(
-              "lease sweep: %zu tiles (%zu resumed), %zu leases, %zu steals, "
-              "%zu reclaimed, %zu dead ranks",
-              lease_report.tiles_total, lease_report.tiles_resumed,
-              lease_report.leases_granted, lease_report.steals,
-              lease_report.tiles_reclaimed, lease_report.dead_ranks.size()));
-      }
-    } else {
-      result.network = ring_sweep(comm, *statistic, ranked, result.threshold,
-                                  config, &pairs_per_rank, hooks.cancel,
-                                  &busy_per_rank);
+  if (p == 1) {
+    SessionNetwork built = session->build_network();
+    result.network = std::move(built.network);
+    result.dpi_stats = built.dpi;
+    result.consensus = std::move(built.consensus);
+    pairs_per_rank.assign(1, config.consensus_resamples > 0
+                                 ? result.consensus.pairs_computed
+                                 : built.engine.pairs_computed);
+  } else if (lease) {
+    result.network = lease_sweep(comm, *statistic, *ranked, result.threshold,
+                                 config, &lease_report, cancel);
+    pairs_per_rank = lease_report.pairs_per_rank;
+    busy_per_rank = lease_report.busy_seconds_per_rank;
+    if (r == 0) {
+      obs::MetricsRegistry::global().counter("cluster.lease.granted")
+          .add(lease_report.leases_granted);
+      obs::MetricsRegistry::global().counter("cluster.lease.steals")
+          .add(lease_report.steals);
+      obs::MetricsRegistry::global().counter("cluster.lease.reclaimed")
+          .add(lease_report.tiles_reclaimed);
     }
+  } else {
+    result.network = ring_sweep(comm, *statistic, *ranked, result.threshold,
+                                config, &pairs_per_rank, cancel,
+                                &busy_per_rank);
   }
-
-  // Stage 5: DPI on the merged network (rank 0 only).
-  if (r == 0 && config.apply_dpi) {
-    const OptionalSpan span(hooks.trace, "dpi");
+  if (p > 1 && r == 0 && config.apply_dpi)
     result.network = apply_dpi(result.network, config.dpi_tolerance,
-                               &result.dpi_stats, ensure_pool(),
-                               config.threads);
-    if (hooks.log)
-      hooks.log(strprintf("dpi: %zu triangles, %zu edges removed, %zu edges "
-                          "remain",
-                          result.dpi_stats.triangles_examined,
-                          result.dpi_stats.edges_removed,
-                          result.network.n_edges()));
-  }
+                               &result.dpi_stats, *pool, config.threads);
 
   // Traffic gather: snapshot local totals first so the gather itself is
   // not part of the reported algorithm traffic. Under lease balancing the
@@ -356,9 +226,8 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
 
   // Everyone leaves together (a finished rank closing its endpoint early
   // would look like a failure to peers still mid-recv on TCP). At one rank
-  // there is no peer to wait for, and publishing the self-loop transport's
-  // cluster.* counters would dirty the delegated single-process run's
-  // metrics delta. Lease mode skips the barrier: a rank that died
+  // there is no peer to wait for and no traffic to publish. Lease mode
+  // skips the barrier: a rank that died
   // mid-sweep would deadlock the survivors inside it, and the lease
   // protocol's release handshake already sequenced everyone's exit.
   if (p > 1) {

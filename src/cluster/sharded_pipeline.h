@@ -1,34 +1,25 @@
-// The full TINGe pipeline as one rank of a cluster: everything the
-// single-process NetworkBuilder does, sharded over a Comm endpoint so it
-// runs identically on in-process rank-threads and on real TCP worker
-// processes.
+// The TINGe pipeline sharded over the ranks of a cluster, so it runs
+// identically on in-process rank-threads and on real TCP worker processes.
 //
-// Stage plan (deterministic, so the result is byte-identical to the
-// single-process engine for the same inputs — test-enforced):
-//   * every rank loads the expression matrix and preprocesses locally
-//     (impute -> filter -> rank transform is deterministic, so this costs
-//     no communication and no reproducibility);
-//   * rank 0 builds the shared B-spline weight table and broadcasts it
-//     (receivers reconstruct via WeightTable's deserializing constructor);
-//   * rank 0 draws the universal permutation null, derives I_alpha and
-//     broadcasts the threshold (the null is deterministic for a seed
-//     regardless of thread count, so computing it once is both cheaper and
-//     exactly what the single-process pipeline produces);
-//   * all ranks run the MI sweep — the TINGe-classic ring (ring_mi.h) at
-//     p > 1, the tiled multithreaded engine at p == 1; rank 0 merges,
-//     optionally applies DPI, and gathers per-rank traffic.
-//
-// At one rank over the self-loop transport this IS the single-process
-// pipeline: NetworkBuilder::run delegates here, grafting its trace, logger,
-// pool and engine stats on via LocalPipelineHooks, so the two orchestrations
-// are one code path.
+// The stage order is the single-process one (core/dataset_session.h); this
+// file adds only what distribution needs. Result determinism makes the
+// output byte-identical to the single-process pipeline (test-enforced):
+//   * at one rank the build IS the single-process pipeline: a
+//     DatasetSession's stages, checkpointing and teamed claiming included;
+//   * at p > 1 every rank preprocesses locally with preprocess_expression
+//     (deterministic, so this costs no communication and no
+//     reproducibility); rank 0 runs the session's stages 1-3, broadcasts
+//     the B-spline weight table (receivers reconstruct it via WeightTable's
+//     deserializing constructor) and the threshold I_alpha;
+//   * all ranks then run the sweep config.cluster_balance selects: the
+//     TINGe-classic ring (ring_mi.h) or the elastic tile lease
+//     (lease_mi.h); rank 0 merges, optionally applies DPI, and gathers
+//     per-rank traffic.
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cluster/launcher.h"
@@ -40,16 +31,6 @@
 #include "core/run_manifest.h"
 #include "data/expression_matrix.h"
 #include "graph/network.h"
-
-namespace tinge {
-struct EngineStats;
-namespace obs {
-class Trace;
-}  // namespace obs
-namespace par {
-class ThreadPool;
-}  // namespace par
-}  // namespace tinge
 
 namespace tinge::cluster {
 
@@ -68,7 +49,7 @@ struct ShardedBuildResult {
   std::size_t pairs_total = 0;  ///< rank 0 only
   DpiStats dpi_stats;
   /// Consensus-mode accounting (zero unless config.consensus_resamples > 0,
-  /// which implies the single-rank pipeline).
+  /// which only a one-rank build runs).
   ConsensusStats consensus;
   /// Communication accounting for the whole sharded run (rank 0 only;
   /// other ranks carry just their own totals in bytes_per_rank[rank]).
@@ -76,45 +57,23 @@ struct ShardedBuildResult {
   double seconds = 0.0;
 };
 
-/// Optional grafts from a local caller. NetworkBuilder::run is a 1-rank
-/// sharded_build over the self-loop transport; it threads its trace, pool,
-/// engine stats and logger through here so the delegated build produces
-/// exactly the spans, log lines and stats its own orchestration used to.
-/// Everything may be left null/empty (the cluster CLI path does).
-struct LocalPipelineHooks {
-  /// Stage spans (preprocess(impute, filter, rank), weight_table, null,
-  /// threshold, mi_sweep, dpi) are opened on this trace when non-null.
-  obs::Trace* trace = nullptr;
-  /// Thread pool for the null build and the p == 1 engine sweep; when null
-  /// a pool is created lazily from config.threads / the host topology.
-  par::ThreadPool* pool = nullptr;
-  /// Filled by the p == 1 engine sweep when non-null (untouched at p > 1 —
-  /// the ring ranks are single-threaded and report via ClusterStats).
-  EngineStats* engine = nullptr;
-  /// Stage announcement sink (NetworkBuilder's logger format).
-  std::function<void(std::string_view)> log;
-  /// Optional cancellation flag threaded into the ring MI sweep (p > 1):
-  /// every rank polls it between tiles and throws SweepAborted on trip.
-  /// How a worker that caught SIGTERM abandons a doomed multi-minute sweep
-  /// instead of computing to the bitter end.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
 /// Runs this rank's share of the pipeline. Collective: every rank of
 /// `comm`'s cluster must call it with the same expression matrix and
-/// config. At comm.size() == 1 the MI sweep is the tiled multithreaded
-/// engine (honoring config.checkpoint_path and config.team_size) rather
-/// than the ring — this is the single-process pipeline.
+/// config. At comm.size() == 1 it runs a DatasetSession (honoring
+/// config.checkpoint_path and config.team_size); at p > 1 the ring or lease
+/// sweep. `cancel`, when set, is polled between tiles of a p > 1 sweep,
+/// which throws SweepAborted once it trips: how a worker that caught
+/// SIGTERM abandons a doomed multi-minute sweep.
 ShardedBuildResult sharded_build(Comm& comm,
                                  const ExpressionMatrix& expression,
                                  const TingeConfig& config,
-                                 const LocalPipelineHooks& hooks = {});
+                                 const std::atomic<bool>* cancel = nullptr);
 
 /// Move-in overload: preprocessing mutates the matrix in place instead of
-/// cloning it (NetworkBuilder's rvalue build path).
+/// cloning it.
 ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
                                  const TingeConfig& config,
-                                 const LocalPipelineHooks& hooks = {});
+                                 const std::atomic<bool>* cancel = nullptr);
 
 /// Maps the cluster stats + pair counts into the core manifest section.
 ClusterManifest to_cluster_manifest(const ClusterStats& stats);

@@ -114,14 +114,6 @@ MiEngine::MiEngine(const PairStatistic& statistic, const RankedMatrix& ranks)
   TINGE_EXPECTS(ranks.n_genes() >= 2);
 }
 
-MiEngine::MiEngine(const BsplineMi& estimator, const RankedMatrix& ranks)
-    : owned_statistic_(std::make_unique<BsplineStat>(estimator)),
-      statistic_(*owned_statistic_),
-      ranks_(ranks) {
-  TINGE_EXPECTS(estimator.n_samples() == ranks.n_samples());
-  TINGE_EXPECTS(ranks.n_genes() >= 2);
-}
-
 const StagedRankMatrix* MiEngine::staged_ranks(const TingeConfig& config,
                                                par::ThreadPool& pool,
                                                int threads) const {

@@ -113,11 +113,6 @@ class MiEngine {
   /// the same sample count as the statistic.
   MiEngine(const PairStatistic& statistic, const RankedMatrix& ranks);
 
-  /// B-spline convenience: wraps `estimator` in a BsplineStat internally
-  /// (kernel selection still flows through config at sweep time). Kept so
-  /// the many B-spline call sites read as before the estimator redesign.
-  MiEngine(const BsplineMi& estimator, const RankedMatrix& ranks);
-
   /// All-pairs MI with thresholding: returns the network of pairs with
   /// MI >= threshold (weights are MI in nats). config.team_size > 1 runs
   /// the teamed scheduler: teams of that many threads (the Phi's hardware
@@ -167,9 +162,6 @@ class MiEngine {
                                        par::ThreadPool& pool,
                                        int threads) const;
 
-  /// Set only by the B-spline convenience constructor (declared before
-  /// statistic_ so the reference can bind to it during construction).
-  std::unique_ptr<PairStatistic> owned_statistic_;
   const PairStatistic& statistic_;
   const RankedMatrix& ranks_;
   mutable std::once_flag staged_once_;

@@ -1,12 +1,9 @@
 #include "core/network_builder.h"
 
-#include <memory>
 #include <utility>
 
-#include "cluster/sharded_pipeline.h"
-#include "cluster/transport.h"
+#include "core/dataset_session.h"
 #include "parallel/thread_pool.h"
-#include "util/timer.h"
 
 namespace tinge {
 
@@ -29,36 +26,23 @@ BuildResult NetworkBuilder::run(ExpressionMatrix working) const {
   const obs::MetricsSnapshot metrics_before =
       obs::MetricsRegistry::global().snapshot();
 
-  const int pool_threads = config_.threads > 0
-                               ? config_.threads
-                               : par::detect_host_topology().total_threads();
-  par::ThreadPool pool(pool_threads);
-
-  // The pipeline itself is the 1-rank case of the sharded cluster build,
-  // run over the self-loop transport — one orchestration for both the
-  // single-process and the distributed paths (DESIGN.md §6d). The hooks
-  // graft this run's trace, pool, engine stats and logger onto it.
-  const std::unique_ptr<cluster::Transport> transport =
-      cluster::make_transport(cluster::TransportKind::InProcess, {});
-  cluster::Comm comm(*transport);
-  cluster::LocalPipelineHooks hooks;
-  hooks.trace = &trace;
-  hooks.pool = &pool;
-  hooks.engine = &result.engine;
-  hooks.log = logger_;
-  cluster::ShardedBuildResult sharded =
-      cluster::sharded_build(comm, std::move(working), config_, hooks);
-
-  result.network = std::move(sharded.network);
-  result.null = std::move(sharded.null);
-  result.threshold = sharded.threshold;
-  result.marginal_entropy = sharded.marginal_entropy;
-  result.genes_in = sharded.genes_in;
-  result.genes_used = sharded.genes_used;
-  result.samples = sharded.samples;
-  result.imputed_cells = sharded.imputed_cells;
-  result.dpi_stats = sharded.dpi_stats;
-  result.consensus = std::move(sharded.consensus);
+  par::ThreadPool pool(pipeline_threads(config_));
+  {
+    const DatasetSession session(std::move(working), config_, pool, &trace,
+                                 logger_);
+    SessionNetwork built = session.build_network();
+    result.network = std::move(built.network);
+    result.engine = std::move(built.engine);
+    result.consensus = std::move(built.consensus);
+    result.dpi_stats = built.dpi;
+    result.null = session.null();
+    result.threshold = session.threshold();
+    result.marginal_entropy = session.statistic().marginal_entropy();
+    result.genes_in = session.genes_in();
+    result.genes_used = session.genes_used();
+    result.samples = session.ranked().n_samples();
+    result.imputed_cells = session.imputed_cells();
+  }
 
   result.pool_busy_seconds = pool.busy_seconds_all();
   result.pool_lifetime_seconds = pool.lifetime_seconds();

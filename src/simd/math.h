@@ -34,6 +34,14 @@ inline constexpr float kLogQ1 = -2.12194440e-4f;  // ln(2) low bits
 inline constexpr float kLogQ2 = 0.693359375f;     // ln(2) high bits
 inline constexpr float kSqrtHalf = 0.707106781186547524f;
 inline constexpr float kMinNormal = 1.17549435e-38f;
+#if defined(__AVX512F__)
+// GCC 12's unmasked AVX-512 intrinsics (_mm512_max_ps, _mm512_srli_epi32,
+// _mm512_cvtepi32_ps) merge into an _mm512_undefined_*() source, which
+// -Wmaybe-uninitialized flags once they are inlined into a caller. The
+// zero-masked forms with every lane selected compute the same lanes from a
+// defined source, and compile to the same unmasked instructions.
+inline constexpr __mmask16 kAllLanes = 0xFFFF;
+#endif
 }  // namespace detail
 
 /// Scalar reference (and fallback lane implementation).
@@ -132,14 +140,17 @@ inline F32x8 neg_xlogx(F32x8 p) {
 
 #if defined(__AVX512F__)
 inline F32x16 log_positive(F32x16 xv) {
-  __m512 x = _mm512_max_ps(xv.v, _mm512_set1_ps(detail::kMinNormal));
-  __m512i emm0 = _mm512_srli_epi32(_mm512_castps_si512(x), 23);
+  __m512 x = _mm512_maskz_max_ps(detail::kAllLanes, xv.v,
+                                 _mm512_set1_ps(detail::kMinNormal));
+  __m512i emm0 =
+      _mm512_maskz_srli_epi32(detail::kAllLanes, _mm512_castps_si512(x), 23);
   __m512i bits = _mm512_castps_si512(x);
   bits = _mm512_and_si512(bits, _mm512_set1_epi32(~0x7f800000));
   bits = _mm512_or_si512(bits, _mm512_castps_si512(_mm512_set1_ps(0.5f)));
   x = _mm512_castsi512_ps(bits);
   emm0 = _mm512_sub_epi32(emm0, _mm512_set1_epi32(0x7f));
-  __m512 e = _mm512_add_ps(_mm512_cvtepi32_ps(emm0), _mm512_set1_ps(1.0f));
+  __m512 e = _mm512_add_ps(_mm512_maskz_cvtepi32_ps(detail::kAllLanes, emm0),
+                           _mm512_set1_ps(1.0f));
   const __mmask16 below = _mm512_cmp_ps_mask(x, _mm512_set1_ps(detail::kSqrtHalf), _CMP_LT_OS);
   const __m512 tmp = _mm512_maskz_mov_ps(below, x);
   x = _mm512_sub_ps(x, _mm512_set1_ps(1.0f));
@@ -163,8 +174,8 @@ inline F32x16 log_positive(F32x16 xv) {
 
 inline F32x16 neg_xlogx(F32x16 p) {
   const __mmask16 positive = _mm512_cmp_ps_mask(p.v, _mm512_setzero_ps(), _CMP_GT_OS);
-  const F32x16 logp =
-      log_positive(F32x16(_mm512_max_ps(p.v, _mm512_set1_ps(detail::kMinNormal))));
+  const F32x16 logp = log_positive(F32x16(_mm512_maskz_max_ps(
+      detail::kAllLanes, p.v, _mm512_set1_ps(detail::kMinNormal))));
   const __m512 r = _mm512_sub_ps(_mm512_setzero_ps(), _mm512_mul_ps(p.v, logp.v));
   return F32x16(_mm512_maskz_mov_ps(positive, r));
 }
@@ -183,8 +194,12 @@ inline double entropy_sum(const float* p, std::size_t count) {
   constexpr std::size_t R = kLanes / W;  // vectors per 16 cells
   V acc[R];
   for (std::size_t r = 0; r < R; ++r) acc[r] = V::zero();
-  std::size_t i = 0;
-  for (; i + kLanes <= count; i += kLanes)
+  // The tail is counted from its own bound (< 16 cells) rather than by
+  // resuming the body's index, which GCC 12 cannot bound and flags under
+  // -Waggressive-loop-optimizations once inlined with a constant count.
+  const std::size_t tail = count % kLanes;
+  const std::size_t body = count - tail;
+  for (std::size_t i = 0; i < body; i += kLanes)
     for (std::size_t r = 0; r < R; ++r)
       acc[r] = acc[r] + neg_xlogx(V::loadu(p + i + r * W));
   float lanes[kLanes];
@@ -192,7 +207,7 @@ inline double entropy_sum(const float* p, std::size_t count) {
   for (std::size_t half = kLanes / 2; half >= 1; half /= 2)
     for (std::size_t l = 0; l < half; ++l) lanes[l] += lanes[l + half];
   double total = lanes[0];
-  for (; i < count; ++i) total += neg_xlogx(p[i]);
+  for (std::size_t t = 0; t < tail; ++t) total += neg_xlogx(p[body + t]);
   return total;
 }
 

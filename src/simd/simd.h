@@ -176,7 +176,22 @@ struct F32x16 {
   static F32x16 fmadd(F32x16 a, F32x16 b, F32x16 c) {
     return F32x16(_mm512_fmadd_ps(a.v, b.v, c.v));
   }
-  float reduce_add() const { return _mm512_reduce_add_ps(v); }
+  /// _mm512_reduce_add_ps's summation order. GCC 12 extracts the halves
+  /// with an undefined merge source, which -Wuninitialized flags once
+  /// inlined; the zero-masked extract with every lane selected is the same
+  /// instruction on a defined source.
+  float reduce_add() const {
+    const __m512d d = _mm512_castps_pd(v);
+    const __m256 s8 =
+        _mm256_add_ps(_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xFF, d, 1)),
+                      _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xFF, d, 0)));
+    const __m128 s4 =
+        _mm_add_ps(_mm256_extractf128_ps(s8, 1), _mm256_castps256_ps128(s8));
+    const __m128 s2 =
+        _mm_add_ps(s4, _mm_shuffle_ps(s4, s4, _MM_SHUFFLE(1, 0, 3, 2)));
+    return _mm_cvtss_f32(s2) +
+           _mm_cvtss_f32(_mm_shuffle_ps(s2, s2, _MM_SHUFFLE(1, 1, 1, 1)));
+  }
 };
 #else
 using F32x16 = ScalarF32<16>;

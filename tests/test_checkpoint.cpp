@@ -176,11 +176,12 @@ class EngineCheckpointFixture : public CheckpointFixture {
   }
 
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   RankedMatrix ranked_;
 };
 
 TEST_F(EngineCheckpointFixture, FreshRunMatchesPlainEngineAndCleansUp) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const double threshold = 0.2;
 
@@ -199,7 +200,7 @@ TEST_F(EngineCheckpointFixture, FreshRunMatchesPlainEngineAndCleansUp) {
 }
 
 TEST_F(EngineCheckpointFixture, ResumesAfterInjectedCrash) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const double threshold = 0.2;
   const GeneNetwork expected =
@@ -241,7 +242,7 @@ TEST_F(EngineCheckpointFixture, ResumesAfterInjectedCrash) {
 }
 
 TEST_F(EngineCheckpointFixture, RepeatedCrashesEventuallyComplete) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const double threshold = 0.2;
   const GeneNetwork expected =
@@ -272,7 +273,7 @@ TEST_F(EngineCheckpointFixture, RepeatedCrashesEventuallyComplete) {
 }
 
 TEST_F(EngineCheckpointFixture, MismatchedCheckpointIsIgnored) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   // A checkpoint from a different threshold must not be resumed from.
   {
@@ -343,7 +344,7 @@ TEST_F(EngineCheckpointFixture, Version2BsplineJournalIsRefused) {
   const double threshold = 0.2;
   write_v2_journal(path("old.ckpt"), kGenes, kSamples, 6, threshold,
                    EstimatorKind::Bspline);
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   try {
     engine.compute_network_checkpointed(threshold, config(), pool,

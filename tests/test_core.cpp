@@ -209,7 +209,8 @@ class EngineFixture : public ::testing::Test {
 
 TEST_F(EngineFixture, DenseMatrixIsSymmetricZeroDiagonal) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   config.tile_size = 7;
@@ -223,7 +224,8 @@ TEST_F(EngineFixture, DenseMatrixIsSymmetricZeroDiagonal) {
 
 TEST_F(EngineFixture, ThreadCountDoesNotChangeResults) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(4);
   TingeConfig config;
   config.tile_size = 5;
@@ -238,7 +240,8 @@ TEST_F(EngineFixture, ThreadCountDoesNotChangeResults) {
 
 TEST_F(EngineFixture, TileSizeDoesNotChangeResults) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   config.tile_size = 3;
@@ -250,7 +253,8 @@ TEST_F(EngineFixture, TileSizeDoesNotChangeResults) {
 
 TEST_F(EngineFixture, SchedulesAgree) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(4);
   TingeConfig config;
   config.tile_size = 6;
@@ -264,7 +268,8 @@ TEST_F(EngineFixture, SchedulesAgree) {
 
 TEST_F(EngineFixture, NetworkMatchesDenseThresholding) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   config.tile_size = 8;
@@ -297,7 +302,8 @@ TEST_F(EngineFixture, NetworkMatchesDenseThresholding) {
 
 TEST_F(EngineFixture, BlockStructureIsRecovered) {
   const BsplineMi estimator(10, 3, kSamples);
-  const MiEngine engine(estimator, ranked_);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   const auto dense = engine.compute_dense(config, pool);
@@ -328,7 +334,8 @@ TEST(MiEngine, RejectsMismatchedEstimator) {
       matrix.at(g, s) = static_cast<float>(rng.normal());
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(10, 3, 64);  // wrong m
-  EXPECT_THROW(MiEngine(estimator, ranked), ContractViolation);
+  const BsplineStat statistic(estimator);
+  EXPECT_THROW(MiEngine(statistic, ranked), ContractViolation);
 }
 
 // ---- config ---------------------------------------------------------------------

@@ -250,7 +250,7 @@ class ElasticClusterFixture : public ::testing::Test {
   }
 
   GeneNetwork single_chip() const {
-    const MiEngine engine(estimator_, ranked_);
+    const MiEngine engine(statistic_, ranked_);
     par::ThreadPool pool(1);
     return engine.compute_network(kThreshold, config_, pool);
   }

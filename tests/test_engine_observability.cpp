@@ -63,13 +63,14 @@ class EngineObservability : public ::testing::Test {
   }
 
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   RankedMatrix ranked_;
 };
 
 // ---- zero interference ----------------------------------------------------
 
 TEST_F(EngineObservability, StatsRequestDoesNotChangeThePlainNetwork) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const GeneNetwork bare = engine.compute_network(kThreshold, config(), pool);
   EngineStats stats;
@@ -80,7 +81,7 @@ TEST_F(EngineObservability, StatsRequestDoesNotChangeThePlainNetwork) {
 }
 
 TEST_F(EngineObservability, StatsRequestDoesNotChangeTheCheckpointedNetwork) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const GeneNetwork bare = engine.compute_network_checkpointed(
       kThreshold, config(), pool, checkpoint_path("bare"));
@@ -92,7 +93,7 @@ TEST_F(EngineObservability, StatsRequestDoesNotChangeTheCheckpointedNetwork) {
 }
 
 TEST_F(EngineObservability, StatsRequestDoesNotChangeTheTeamedNetwork) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const GeneNetwork bare = engine.compute_network(kThreshold, config(2), pool);
   EngineStats stats;
@@ -103,7 +104,7 @@ TEST_F(EngineObservability, StatsRequestDoesNotChangeTheTeamedNetwork) {
 }
 
 TEST_F(EngineObservability, StatsRequestDoesNotChangeTheDenseMatrix) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const std::vector<float> bare = engine.compute_dense(config(), pool);
   EngineStats stats;
@@ -119,7 +120,7 @@ TEST_F(EngineObservability, StatsRequestDoesNotChangeTheDenseMatrix) {
 // ---- cross-path consistency -----------------------------------------------
 
 TEST_F(EngineObservability, AllFourPathsReportConsistentStats) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
 
   EngineStats plain, checkpointed, teamed, dense;
@@ -164,7 +165,7 @@ TEST_F(EngineObservability, AllFourPathsReportConsistentStats) {
 // ---- resume accounting ----------------------------------------------------
 
 TEST_F(EngineObservability, ResumedRunAccountsForTheFullPass) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const std::string path = checkpoint_path("resume");
   const GeneNetwork expected =
@@ -206,7 +207,7 @@ TEST_F(EngineObservability, ResumedRunAccountsForTheFullPass) {
 // ---- EngineStats as a view over the registry ------------------------------
 
 TEST_F(EngineObservability, RegistryDeltaReconstructsEngineStats) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
 
   const obs::MetricsSnapshot before =

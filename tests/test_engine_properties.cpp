@@ -24,7 +24,7 @@ class EngineReference {
   }
 
   const RankedMatrix& ranked() const { return ranked_; }
-  const BsplineMi& estimator() const { return estimator_; }
+  const BsplineStat& statistic() const { return statistic_; }
   const std::vector<float>& reference() const { return reference_; }
 
  private:
@@ -39,7 +39,7 @@ class EngineReference {
       }
     }
     ranked_ = RankedMatrix(matrix);
-    const MiEngine engine(estimator_, ranked_);
+    const MiEngine engine(statistic_, ranked_);
     par::ThreadPool pool(1);
     TingeConfig config;
     config.threads = 1;
@@ -48,6 +48,7 @@ class EngineReference {
   }
 
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   RankedMatrix ranked_;
   std::vector<float> reference_;
 };
@@ -60,7 +61,7 @@ class EngineSweep : public ::testing::TestWithParam<SweepParam> {};
 TEST_P(EngineSweep, DenseMatrixMatchesReference) {
   const auto [tile, schedule, threads, kernel] = GetParam();
   const EngineReference& ref = EngineReference::get();
-  const MiEngine engine(ref.estimator(), ref.ranked());
+  const MiEngine engine(ref.statistic(), ref.ranked());
   par::ThreadPool pool(threads);
   TingeConfig config;
   config.tile_size = static_cast<std::size_t>(tile);
@@ -99,7 +100,8 @@ TEST(EngineEdgeCases, TwoGenes) {
       matrix.at(g, s) = static_cast<float>(rng.normal());
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(8, 3, 32);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(2);
   TingeConfig config;
   EngineStats stats;
@@ -110,7 +112,7 @@ TEST(EngineEdgeCases, TwoGenes) {
 
 TEST(EngineEdgeCases, ThresholdAboveEverythingGivesEmptyNetwork) {
   const EngineReference& ref = EngineReference::get();
-  const MiEngine engine(ref.estimator(), ref.ranked());
+  const MiEngine engine(ref.statistic(), ref.ranked());
   par::ThreadPool pool(2);
   TingeConfig config;
   const GeneNetwork network = engine.compute_network(1e9, config, pool);
@@ -126,7 +128,8 @@ TEST(EngineEdgeCases, MinimumSampleCount) {
   matrix.at(2, 0) = -1.0f;
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(3, 2, 2);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(1);
   TingeConfig config;
   config.bins = 3;
@@ -144,7 +147,7 @@ TEST_P(TeamSweep, TeamedNetworkMatchesPlainEngine) {
   const auto [team_size, n_teams] = GetParam();
   const int threads = team_size * n_teams;
   const EngineReference& ref = EngineReference::get();
-  const MiEngine engine(ref.estimator(), ref.ranked());
+  const MiEngine engine(ref.statistic(), ref.ranked());
   par::ThreadPool pool(threads);
   TingeConfig config;
   config.tile_size = 5;
@@ -178,7 +181,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TeamMode, RejectsIndivisibleTeamSize) {
   const EngineReference& ref = EngineReference::get();
-  const MiEngine engine(ref.estimator(), ref.ranked());
+  const MiEngine engine(ref.statistic(), ref.ranked());
   par::ThreadPool pool(4);
   TingeConfig config;
   config.threads = 4;

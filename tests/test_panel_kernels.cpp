@@ -219,11 +219,12 @@ class PanelEngineFixture : public ::testing::Test {
   }
 
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   RankedMatrix ranked_;
 };
 
 TEST_F(PanelEngineFixture, NetworkEdgesIdenticalToPerPairPath) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(3);
   const double threshold = 0.12;
   // Simd maps to the identical panel accumulation order, so the edge sets
@@ -250,7 +251,7 @@ TEST_F(PanelEngineFixture, NetworkEdgesIdenticalToPerPairPath) {
 }
 
 TEST_F(PanelEngineFixture, DensePanelMatchesPerPairBitwise) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   config.kernel = MiKernel::Simd;
@@ -268,7 +269,7 @@ TEST_F(PanelEngineFixture, DensePanelMatchesPerPairBitwise) {
 }
 
 TEST_F(PanelEngineFixture, StatsReportResolvedKernelAndPanelWidth) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   TingeConfig config;
   EngineStats stats;

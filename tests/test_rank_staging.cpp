@@ -131,7 +131,8 @@ INSTANTIATE_TEST_SUITE_P(Kernels, PanelKnobIdentity,
 TEST(EngineStaging, StagedSweepMatchesClassicBitForBit) {
   const RankedMatrix ranked = random_ranked(28, 90, 11);
   const BsplineMi estimator(10, 3, 90);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(3);
 
   TingeConfig off;
@@ -158,7 +159,8 @@ TEST(EngineStaging, SamplesBeyondTheUint16RangeSweepUint32Rows) {
   ASSERT_FALSE(StagedRankMatrix::can_stage(kM));
   const RankedMatrix ranked = random_ranked(kGenes, kM, 13);
   const BsplineMi estimator(10, 3, kM);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(2);
   TingeConfig config;
   config.threads = 2;

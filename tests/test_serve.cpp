@@ -419,6 +419,32 @@ TEST_F(ServeDaemonTest, SweepJobStreamsProgressAndSummarizes) {
   ASSERT_NE(event.find("metrics"), nullptr);
 }
 
+// A sweep job re-runs the network stage the daemon served, so the job's
+// edge count is the served network's: the consensus vote and DPI included,
+// not the plain thresholded sweep underneath them.
+std::size_t sweep_job_edges(ServeState& state) {
+  ServeServer server(state, ServeOptions{});
+  ServeClient client("127.0.0.1", server.port());
+  return client.sweep_job().edges;
+}
+
+TEST(ServeSweepJob, ReportsTheServedConsensusNetwork) {
+  TingeConfig config = test_config();
+  config.consensus_resamples = 3;
+  config.apply_dpi = true;
+  ServeState state(test_expression(80, 96), config, ServeOptions{});
+  ASSERT_GT(state.consensus_stats().kept_edges, 0u);
+  EXPECT_EQ(sweep_job_edges(state), state.network().n_edges());
+}
+
+TEST(ServeSweepJob, ReportsTheServedDpiNetwork) {
+  TingeConfig config = test_config();
+  config.apply_dpi = true;
+  ServeState state(test_expression(80, 96), config, ServeOptions{});
+  ASSERT_GT(state.dpi_stats().edges_removed, 0u);  // DPI has work to do
+  EXPECT_EQ(sweep_job_edges(state), state.network().n_edges());
+}
+
 TEST_F(ServeDaemonTest, ShutdownQueryReleasesWait) {
   std::thread waiter([this] { server_->wait(); });
   ServeClient client("127.0.0.1", server_->port());

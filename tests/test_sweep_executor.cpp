@@ -62,12 +62,13 @@ class SweepExecutorTest : public ::testing::TestWithParam<MiKernel> {
   }
 
   BsplineMi estimator_;
+  BsplineStat statistic_{estimator_};
   RankedMatrix ranked_;
   std::filesystem::path dir_;
 };
 
 TEST_P(SweepExecutorTest, EverySchedulerAndSinkConfigurationAgrees) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
 
   const GeneNetwork plain =
@@ -87,7 +88,7 @@ TEST_P(SweepExecutorTest, EverySchedulerAndSinkConfigurationAgrees) {
 }
 
 TEST_P(SweepExecutorTest, DenseMatrixReproducesThresholdedEdgeSet) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
 
   const GeneNetwork plain =
@@ -108,7 +109,7 @@ TEST_P(SweepExecutorTest, DenseMatrixReproducesThresholdedEdgeSet) {
 }
 
 TEST_P(SweepExecutorTest, ResumeAgreesUnderEitherScheduler) {
-  const MiEngine engine(estimator_, ranked_);
+  const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(2);
   const GeneNetwork expected =
       engine.compute_network(kThreshold, config(), pool);
@@ -165,7 +166,8 @@ TEST(SweepTeamValidation, RejectsTeamSizeNotDividingPoolWidth) {
       matrix.at(g, s) = static_cast<float>(rng.normal());
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(10, 3, 48);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(4);
   TingeConfig config;
   config.threads = 4;
@@ -192,7 +194,8 @@ TEST(SweepTeamValidation, TeamSizeEqualToPoolWidthIsOneTeam) {
   }
   const RankedMatrix ranked(matrix);
   const BsplineMi estimator(10, 3, 64);
-  const MiEngine engine(estimator, ranked);
+  const BsplineStat statistic(estimator);
+  const MiEngine engine(statistic, ranked);
   par::ThreadPool pool(4);
   TingeConfig config;
   config.threads = 4;
