@@ -1,7 +1,10 @@
 #include "cluster/framing.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 #include <csignal>
@@ -23,17 +26,9 @@ void ignore_sigpipe() {
   std::call_once(once, [] { ::signal(SIGPIPE, SIG_IGN); });
 }
 
-void write_full(int fd, const void* data, std::size_t bytes) {
-  const char* cursor = static_cast<const char*>(data);
-  while (bytes > 0) {
-    const ssize_t sent = ::send(fd, cursor, bytes, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      throw SocketError("send failed", errno);
-    }
-    cursor += sent;
-    bytes -= static_cast<std::size_t>(sent);
-  }
+void set_no_delay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 bool read_full(int fd, void* data, std::size_t bytes) {
@@ -57,8 +52,31 @@ void write_frame(int fd, std::uint32_t kind, std::int32_t tag,
   header.kind = kind;
   header.tag = tag;
   header.bytes = bytes;
-  write_full(fd, &header, sizeof(header));
-  if (bytes > 0) write_full(fd, payload, bytes);
+  iovec parts[2] = {{&header, sizeof(header)},
+                    {const_cast<void*>(payload), bytes}};
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = bytes > 0 ? 2 : 1;
+  while (message.msg_iovlen > 0) {
+    const ssize_t sent = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      throw SocketError("send failed", errno);
+    }
+    // A short count (a signal, a full send buffer) resumes at the first
+    // unsent byte, which may lie in either part.
+    auto done = static_cast<std::size_t>(sent);
+    while (message.msg_iovlen > 0 && done >= message.msg_iov->iov_len) {
+      done -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + done;
+      message.msg_iov->iov_len -= done;
+    }
+  }
 }
 
 bool read_frame(int fd, FrameHeader& header, std::vector<std::byte>& payload,

@@ -1,12 +1,18 @@
 // The framed stream protocol shared by every socket endpoint in the
 // system: the rank-to-rank TCP transport (tcp_transport.h) and the serve
 // daemon's client connections (serve_server.h) speak the same wire format,
-// so the framing — header layout, full-write/full-read loops and the
-// SIGPIPE discipline — lives here exactly once.
+// so the framing — header layout, the no-delay socket option, the gathered
+// frame write, the full-read loop and the SIGPIPE discipline — lives here
+// exactly once.
 //
 // A frame is a fixed 24-byte header followed by `bytes` payload bytes:
 //
 //   u32 magic "TNGX" | u32 kind | i32 tag | u32 reserved | u64 bytes
+//
+// Every stream socket is no-delay and every frame leaves in one sendmsg():
+// each frame is a complete message, so Nagle has nothing useful to
+// coalesce, and a frame split over two writes would wait for the peer's
+// delayed ACK (40 ms minimum on Linux) between them.
 //
 // Writes use MSG_NOSIGNAL so a peer that disconnected mid-conversation
 // surfaces as a SocketError (errno EPIPE/ECONNRESET) instead of a SIGPIPE
@@ -67,17 +73,20 @@ class SocketError : public std::runtime_error {
 /// must never depend on every future call site remembering the flag.
 void ignore_sigpipe();
 
-/// Writes exactly `bytes`, retrying EINTR. Throws SocketError on failure
-/// (MSG_NOSIGNAL: a disconnected peer is EPIPE, not a process kill).
-void write_full(int fd, const void* data, std::size_t bytes);
+/// Sets TCP_NODELAY on a dialed or accepted stream socket. Best effort: a
+/// socket that takes no TCP options (AF_UNIX) keeps its defaults.
+void set_no_delay(int fd);
 
 /// Reads exactly `bytes`; false on EOF or error (a torn frame counts as a
 /// closed connection — the peer is gone mid-message).
 bool read_full(int fd, void* data, std::size_t bytes);
 
-/// Writes one whole frame (header + optional payload). The caller owns any
-/// per-connection serialization (concurrent writers to one fd must hold
-/// the same lock or frames interleave mid-stream).
+/// Writes one whole frame: header and optional payload gathered into one
+/// sendmsg(MSG_NOSIGNAL), resumed after a short count and retried on EINTR.
+/// Throws SocketError on failure (a disconnected peer is EPIPE, not a
+/// process kill). The caller owns any per-connection serialization
+/// (concurrent writers to one fd must hold the same lock or frames
+/// interleave mid-stream).
 void write_frame(int fd, std::uint32_t kind, std::int32_t tag,
                  const void* payload, std::size_t bytes);
 

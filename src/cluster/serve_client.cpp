@@ -38,6 +38,7 @@ ServeClient::ServeClient(const std::string& host, int port) {
         strprintf("serve client: connect to %s:%d failed: %s", host.c_str(),
                   port, std::strerror(saved)));
   }
+  set_no_delay(fd_);
 }
 
 ServeClient ServeClient::from_port_file(const std::string& path,

@@ -17,6 +17,7 @@
 // machine, exactly like the mesh transport it reuses.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
@@ -44,6 +45,11 @@ const char* query_kind_name(QueryKind kind);
 
 /// `estimator` value meaning "whatever the daemon was built with".
 inline constexpr std::uint32_t kEstimatorDefault = 0xFFFFFFFFu;
+
+/// Largest request payload the daemon reads. Serve requests are small (a
+/// pair list, a gene set); a header announcing more is a confused or
+/// hostile client, whose connection is closed unread.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t(1) << 26;
 
 /// Fixed-size head of every request payload. `estimator` is a
 /// tinge::EstimatorKind value (or kEstimatorDefault) and only matters for

@@ -24,10 +24,6 @@ namespace tinge::cluster {
 
 namespace {
 
-/// Serve requests are small (a pair list, a gene set); anything bigger is a
-/// confused or hostile client, not a query.
-constexpr std::size_t kMaxRequestBytes = std::size_t(1) << 26;
-
 void throw_socket_errno(const char* what) {
   throw std::runtime_error(strprintf("serve: %s failed: %s", what,
                                      std::strerror(errno)));
@@ -264,6 +260,7 @@ void ServeServer::accept_loop() {
       ::close(fd);
       return;
     }
+    set_no_delay(fd);
     const std::uint64_t client_id = next_client_id_.fetch_add(1);
     std::lock_guard<std::mutex> lock(clients_mutex_);
     const std::size_t slot = client_fds_.size();
@@ -454,16 +451,18 @@ void ServeServer::serve_request(int fd, std::mutex& send_mutex,
         const SessionNetwork built = state_.run_sweep_job(progress);
         const EngineStats& stats = built.engine;
         // A consensus daemon's sweeps are the vote's members, which its
-        // ConsensusStats summarize.
-        const bool consensus = built.consensus.resamples > 0;
+        // ConsensusStats summarize (they are never checkpointed).
+        const ConsensusStats& vote = built.consensus;
+        const bool consensus = vote.resamples > 0;
         obs::Json summary = obs::Json::object();
         summary["pairs"] = static_cast<double>(
-            consensus ? built.consensus.pairs_computed : stats.pairs_computed);
+            consensus ? vote.pairs_computed : stats.pairs_computed);
         summary["edges"] = static_cast<double>(built.network.n_edges());
-        summary["tiles"] = static_cast<double>(stats.tiles);
+        summary["tiles"] =
+            static_cast<double>(consensus ? vote.tiles : stats.tiles);
         summary["tiles_resumed"] = static_cast<double>(stats.tiles_resumed);
-        summary["seconds"] = consensus ? built.consensus.seconds : stats.seconds;
-        summary["kernel"] = stats.kernel;
+        summary["seconds"] = consensus ? vote.seconds : stats.seconds;
+        summary["kernel"] = consensus ? vote.kernel : std::string(stats.kernel);
         summary["estimator"] = stats.estimator;
         const std::string text = summary.dump();
         send_response(fd, send_mutex, tag, kind, kServeOk, text.data(),

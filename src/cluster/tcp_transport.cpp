@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -174,15 +173,8 @@ void TcpTransport::rendezvous(const TransportOptions& options) {
         backoff_ms = std::min(backoff_ms * 2.0, 200.0);
       }
     }
-    // Nagle coalescing holds a small frame back ~40 ms waiting for the
-    // delayed ACK of the previous one — fatal for the lease protocol,
-    // whose request/grant messages are a few bytes each. Every frame here
-    // is already a complete message, so flush eagerly.
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    FrameHeader hello;
-    hello.kind = kFrameHello;
-    hello.tag = rank_;
-    write_full(fd, &hello, sizeof(hello));
+    set_no_delay(fd);
+    write_frame(fd, kFrameHello, rank_, nullptr, 0);
     peers_[static_cast<std::size_t>(peer)].fd = fd;
     peers_[static_cast<std::size_t>(peer)].open = true;
   }
@@ -216,7 +208,7 @@ void TcpTransport::rendezvous(const TransportOptions& options) {
       ::close(fd);  // stray connection; not one of our peers
       continue;
     }
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_no_delay(fd);
     Peer& peer = peers_[static_cast<std::size_t>(hello.tag)];
     peer.fd = fd;
     peer.open = true;

@@ -108,6 +108,8 @@ GeneNetwork build_consensus_network(
   // finalize() sorts the surviving edges.
   std::unordered_map<std::uint64_t, std::uint32_t> votes;
   std::size_t pairs_computed = 0;
+  std::size_t tiles = 0;
+  std::string kernels;
   std::vector<std::uint32_t> indices(m);
   for (std::size_t b = 0; b < B; ++b) {
     // The same resampled columns for every estimator at round b — the
@@ -125,11 +127,14 @@ GeneNetwork build_consensus_network(
       const std::unique_ptr<PairStatistic> statistic =
           make_pair_statistic(member, reranked, &resampled);
       const MiEngine engine(*statistic, reranked);
+      EngineStats run;
       const GeneNetwork network =
-          engine.compute_network(thresholds[e], member, pool);
+          engine.compute_network(thresholds[e], member, pool, &run);
       for (const Edge& edge : network.edges())
         ++votes[(static_cast<std::uint64_t>(edge.u) << 32) | edge.v];
       pairs_computed += n * (n - 1) / 2;
+      tiles += run.tiles;
+      if (b == 0) kernels += (e == 0 ? "" : ",") + std::string(run.kernel);
     }
   }
 
@@ -159,6 +164,8 @@ GeneNetwork build_consensus_network(
     stats->candidate_edges = votes.size();
     stats->kept_edges = kept;
     stats->pairs_computed = pairs_computed;
+    stats->tiles = tiles;
+    stats->kernel = std::move(kernels);
     stats->seconds = watch.seconds();
   }
   return consensus;

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -49,6 +50,11 @@ struct ConsensusStats {
   std::size_t kept_edges = 0;
   /// Pairs evaluated across all B * estimators sweeps (null draws excluded).
   std::size_t pairs_computed = 0;
+  /// Tiles swept across all B * estimators sweeps.
+  std::size_t tiles = 0;
+  /// The kernel each estimator's member sweeps resolved
+  /// (EngineStats::kernel), comma-joined in estimator order.
+  std::string kernel;
   double seconds = 0.0;
 };
 

@@ -5,13 +5,17 @@
 // client vanishing mid-frame is routine, never fatal.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -26,8 +30,10 @@
 #include "obs/metrics.h"
 #include "preprocess/filter.h"
 #include "preprocess/rank_transform.h"
+#include "stats/rng.h"
 #include "synth/expression.h"
 #include "util/contracts.h"
+#include "util/timer.h"
 
 namespace tinge {
 namespace {
@@ -406,6 +412,34 @@ TEST_F(ServeDaemonTest, ClientVanishingMidFrameLeavesTheDaemonServing) {
   EXPECT_EQ(values.size(), 1u);
 }
 
+// Nagle holds a small frame until the peer acknowledges the previous one,
+// and Linux delays that ACK by 40 ms at least, so a round trip that paid it
+// once would take tens of milliseconds. The medians must stay under a
+// quarter of that timer.
+TEST_F(ServeDaemonTest, SmallFrameRoundTripsStayBelowTheDelayedAckTimer) {
+  ServeClient client("127.0.0.1", server_->port());
+  constexpr int kRounds = 100;
+  const auto median_ms = [](std::vector<double> samples) {
+    std::nth_element(samples.begin(), samples.begin() + samples.size() / 2,
+                     samples.end());
+    return samples[samples.size() / 2];
+  };
+  std::vector<double> ping_ms, neighborhood_ms;
+  for (int i = 0; i < kRounds; ++i) {
+    const Stopwatch watch;
+    client.ping();
+    ping_ms.push_back(watch.milliseconds());
+  }
+  for (int i = 0; i < kRounds; ++i) {
+    const auto gene = static_cast<std::uint32_t>(i % state_->n_genes());
+    const Stopwatch watch;
+    client.neighborhood(gene, 10);
+    neighborhood_ms.push_back(watch.milliseconds());
+  }
+  EXPECT_LT(median_ms(ping_ms), 10.0);
+  EXPECT_LT(median_ms(neighborhood_ms), 10.0);
+}
+
 TEST_F(ServeDaemonTest, SweepJobStreamsProgressAndSummarizes) {
   ServeClient client("127.0.0.1", server_->port());
   std::vector<std::string> events;
@@ -422,10 +456,10 @@ TEST_F(ServeDaemonTest, SweepJobStreamsProgressAndSummarizes) {
 // A sweep job re-runs the network stage the daemon served, so the job's
 // edge count is the served network's: the consensus vote and DPI included,
 // not the plain thresholded sweep underneath them.
-std::size_t sweep_job_edges(ServeState& state) {
+cluster::SweepJobResult run_sweep_job(ServeState& state) {
   ServeServer server(state, ServeOptions{});
   ServeClient client("127.0.0.1", server.port());
-  return client.sweep_job().edges;
+  return client.sweep_job();
 }
 
 TEST(ServeSweepJob, ReportsTheServedConsensusNetwork) {
@@ -434,7 +468,11 @@ TEST(ServeSweepJob, ReportsTheServedConsensusNetwork) {
   config.apply_dpi = true;
   ServeState state(test_expression(80, 96), config, ServeOptions{});
   ASSERT_GT(state.consensus_stats().kept_edges, 0u);
-  EXPECT_EQ(sweep_job_edges(state), state.network().n_edges());
+  const cluster::SweepJobResult job = run_sweep_job(state);
+  EXPECT_EQ(job.edges, state.network().n_edges());
+  // The members' sweeps, not the default EngineStats of a vote.
+  EXPECT_GT(job.tiles, 0u);
+  EXPECT_NE(job.kernel, "?");
 }
 
 TEST(ServeSweepJob, ReportsTheServedDpiNetwork) {
@@ -442,7 +480,7 @@ TEST(ServeSweepJob, ReportsTheServedDpiNetwork) {
   config.apply_dpi = true;
   ServeState state(test_expression(80, 96), config, ServeOptions{});
   ASSERT_GT(state.dpi_stats().edges_removed, 0u);  // DPI has work to do
-  EXPECT_EQ(sweep_job_edges(state), state.network().n_edges());
+  EXPECT_EQ(run_sweep_job(state).edges, state.network().n_edges());
 }
 
 TEST_F(ServeDaemonTest, ShutdownQueryReleasesWait) {
@@ -453,6 +491,247 @@ TEST_F(ServeDaemonTest, ShutdownQueryReleasesWait) {
   server_->stop();
   EXPECT_GE(server_->clients_served(), 1u);
 }
+
+// ---- the request decoder under malformed clients ---------------------------
+//
+// Seeded mutations of valid request frames, in the manner of
+// test_parser_robustness.cpp. Each malformed client must get an error
+// response or a closed connection, and a well-behaved client on its own
+// connection must keep getting batch-identical MI answers after every one.
+// (A stalled half-frame would hold its handler forever: the daemon has no
+// read timeout, so that mutation is not exercised here.)
+
+/// What a raw client saw after sending its bytes and closing its write side.
+enum class Outcome { Closed, Error, Answered, Silent };
+
+const char* outcome_name(Outcome outcome) {
+  switch (outcome) {
+    case Outcome::Closed: return "closed";
+    case Outcome::Error: return "error response";
+    case Outcome::Answered: return "answered";
+    case Outcome::Silent: return "silent";
+  }
+  return "?";
+}
+
+/// One request frame, encoded the way ServeClient encodes it unless a
+/// mutation edits a field first.
+struct RawRequest {
+  std::uint32_t frame_kind = cluster::kFrameServeRequest;
+  cluster::ServeRequestHeader request;
+  std::vector<std::uint32_t> items;
+
+  std::vector<std::byte> encode() const {
+    cluster::FrameHeader header;
+    header.kind = frame_kind;
+    header.tag = 1;
+    const std::size_t item_bytes = items.size() * sizeof(std::uint32_t);
+    header.bytes = sizeof(request) + item_bytes;
+    std::vector<std::byte> wire(sizeof(header) + header.bytes);
+    std::memcpy(wire.data(), &header, sizeof(header));
+    std::memcpy(wire.data() + sizeof(header), &request, sizeof(request));
+    if (item_bytes > 0)
+      std::memcpy(wire.data() + sizeof(header) + sizeof(request),
+                  items.data(), item_bytes);
+    return wire;
+  }
+};
+
+class ServeDecoderTest : public ServeDaemonTest,
+                         public ::testing::WithParamInterface<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    ServeDaemonTest::SetUp();
+    reference_ = std::make_unique<BatchReference>(expression_.clone(), config_);
+    n_genes_ = static_cast<std::uint32_t>(reference_->ranked.n_genes());
+    good_client_ = std::make_unique<ServeClient>("127.0.0.1", server_->port());
+    rng_ = Xoshiro256(GetParam());
+  }
+
+  std::vector<std::uint32_t> random_pair_items(std::size_t pairs) {
+    std::vector<std::uint32_t> items;
+    for (std::size_t i = 0; i < pairs; ++i) {
+      const auto a = static_cast<std::uint32_t>(rng_.below(n_genes_));
+      auto b = static_cast<std::uint32_t>(rng_.below(n_genes_ - 1));
+      if (b >= a) ++b;
+      items.push_back(a);
+      items.push_back(b);
+    }
+    return items;
+  }
+
+  RawRequest mi_pairs_request() {
+    RawRequest raw;
+    raw.request.kind = static_cast<std::uint32_t>(cluster::QueryKind::MiPairs);
+    raw.items = random_pair_items(1 + rng_.below(4));
+    raw.request.count = static_cast<std::uint32_t>(raw.items.size());
+    return raw;
+  }
+
+  /// A gene id the daemon does not have.
+  std::uint32_t out_of_range_gene() {
+    const std::uint64_t span =
+        std::numeric_limits<std::uint32_t>::max() - n_genes_;
+    return n_genes_ + static_cast<std::uint32_t>(rng_.below(span));
+  }
+
+  /// Sends `wire` on a fresh connection, closes the write side and reports
+  /// how the daemon reacted.
+  Outcome send_raw(std::span<const std::byte> wire) const {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    if (fd < 0) return Outcome::Silent;
+    sockaddr_in address{};
+    address.sin_family = AF_INET;
+    address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    address.sin_port = htons(static_cast<std::uint16_t>(server_->port()));
+    Outcome outcome = Outcome::Silent;
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                  sizeof(address)) == 0 &&
+        (wire.empty() || ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+                             static_cast<ssize_t>(wire.size()))) {
+      ::shutdown(fd, SHUT_WR);
+      pollfd ready{fd, POLLIN, 0};
+      if (::poll(&ready, 1, 10'000) == 1) {
+        cluster::FrameHeader header;
+        std::vector<std::byte> payload;
+        outcome = Outcome::Closed;
+        if (cluster::read_frame(fd, header, payload)) {
+          cluster::ServeResponseHeader response;
+          if (header.kind == cluster::kFrameServeResponse &&
+              payload.size() >= sizeof(response))
+            std::memcpy(&response, payload.data(), sizeof(response));
+          outcome = response.status == cluster::kServeError
+                        ? Outcome::Error
+                        : Outcome::Answered;
+        }
+      }
+    }
+    ::close(fd);
+    return outcome;
+  }
+
+  void expect_outcome(std::span<const std::byte> wire, Outcome expected) {
+    const Outcome got = send_raw(wire);
+    EXPECT_EQ(got, expected) << "got " << outcome_name(got) << ", want "
+                             << outcome_name(expected);
+    expect_good_client_bit_matches();
+  }
+
+  /// The well-behaved client's MI answers still bit-match the batch sweep.
+  void expect_good_client_bit_matches() {
+    const std::vector<std::uint32_t> items = random_pair_items(3);
+    std::vector<GenePair> pairs;
+    for (std::size_t i = 0; i < items.size(); i += 2)
+      pairs.push_back(GenePair{items[i], items[i + 1]});
+    const std::vector<double> values = good_client_->mi_pairs(pairs);
+    ASSERT_EQ(values.size(), pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const float batch = reference_->dense[pairs[i].a * n_genes_ + pairs[i].b];
+      const float served = static_cast<float>(values[i]);
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(batch),
+                std::bit_cast<std::uint32_t>(served))
+          << "pair (" << pairs[i].a << ", " << pairs[i].b << ")";
+    }
+  }
+
+  std::unique_ptr<BatchReference> reference_;
+  std::uint32_t n_genes_ = 0;
+  std::unique_ptr<ServeClient> good_client_;
+  Xoshiro256 rng_{1};
+};
+
+TEST_P(ServeDecoderTest, RequestTruncatedAtEveryByteClosesTheConnection) {
+  const RawRequest raw = mi_pairs_request();
+  const std::vector<std::byte> wire = raw.encode();
+  // The untruncated request is answered: the harness itself is sound.
+  ASSERT_EQ(send_raw(wire), Outcome::Answered);
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    expect_outcome(std::span(wire).first(cut), Outcome::Closed);
+  }
+}
+
+TEST_P(ServeDecoderTest, LengthAboveTheRequestCapClosesTheConnection) {
+  const std::uint64_t largest =
+      std::numeric_limits<std::uint64_t>::max() - cluster::kMaxRequestBytes;
+  for (const std::uint64_t over :
+       {std::uint64_t(1), 1 + rng_.below(std::uint64_t(1) << 40), largest}) {
+    cluster::FrameHeader header;
+    header.kind = cluster::kFrameServeRequest;
+    header.bytes = cluster::kMaxRequestBytes + over;
+    SCOPED_TRACE(header.bytes);
+    expect_outcome(std::as_bytes(std::span(&header, 1)), Outcome::Closed);
+  }
+}
+
+TEST_P(ServeDecoderTest, WrongFrameKindClosesTheConnection) {
+  std::vector<std::uint32_t> kinds = {
+      cluster::kFrameData, cluster::kFrameHello, cluster::kFrameServeResponse,
+      cluster::kFrameServeEvent};
+  for (int i = 0; i < 4; ++i) {
+    const auto kind = static_cast<std::uint32_t>(rng_.below(1ull << 32));
+    if (kind != cluster::kFrameServeRequest) kinds.push_back(kind);
+  }
+  for (const std::uint32_t kind : kinds) {
+    SCOPED_TRACE(kind);
+    RawRequest raw = mi_pairs_request();
+    raw.frame_kind = kind;
+    expect_outcome(raw.encode(), Outcome::Closed);
+  }
+}
+
+TEST_P(ServeDecoderTest, UnknownQueryKindGetsAnError) {
+  const auto first_unknown =
+      static_cast<std::uint32_t>(cluster::QueryKind::Shutdown) + 1;
+  for (const std::uint32_t kind :
+       {first_unknown,
+        first_unknown + static_cast<std::uint32_t>(rng_.below(
+                            std::numeric_limits<std::uint32_t>::max() -
+                            first_unknown))}) {
+    SCOPED_TRACE(kind);
+    RawRequest raw = mi_pairs_request();
+    raw.request.kind = kind;
+    expect_outcome(raw.encode(), Outcome::Error);
+  }
+}
+
+TEST_P(ServeDecoderTest, CountBeyondThePayloadGetsAnError) {
+  for (const cluster::QueryKind kind :
+       {cluster::QueryKind::MiPairs, cluster::QueryKind::Neighborhood,
+        cluster::QueryKind::Subgraph}) {
+    SCOPED_TRACE(cluster::query_kind_name(kind));
+    RawRequest raw = mi_pairs_request();
+    raw.request.kind = static_cast<std::uint32_t>(kind);
+    raw.request.count += 1 + static_cast<std::uint32_t>(rng_.below(
+                                 std::numeric_limits<std::uint32_t>::max() -
+                                 raw.request.count));
+    expect_outcome(raw.encode(), Outcome::Error);
+  }
+}
+
+TEST_P(ServeDecoderTest, OddItemCountGetsAnError) {
+  RawRequest raw = mi_pairs_request();
+  raw.items.push_back(static_cast<std::uint32_t>(rng_.below(n_genes_)));
+  raw.request.count = static_cast<std::uint32_t>(raw.items.size());
+  expect_outcome(raw.encode(), Outcome::Error);
+}
+
+TEST_P(ServeDecoderTest, OutOfRangeGeneIdsGetAnError) {
+  RawRequest pairs = mi_pairs_request();
+  pairs.items[rng_.below(pairs.items.size())] = out_of_range_gene();
+  expect_outcome(pairs.encode(), Outcome::Error);
+
+  RawRequest neighborhood;
+  neighborhood.request.kind =
+      static_cast<std::uint32_t>(cluster::QueryKind::Neighborhood);
+  neighborhood.items = {out_of_range_gene()};
+  neighborhood.request.count = 1;
+  expect_outcome(neighborhood.encode(), Outcome::Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServeDecoderTest,
+                         ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace tinge
