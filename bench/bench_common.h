@@ -114,9 +114,10 @@ inline TingeConfig engine_config(
 }
 
 /// Thresholded engine passes with warmup: one untimed warmup pass (page
-/// faults, kernel auto-resolution, staging) followed by `samples` timed
-/// passes; the stats of the median-seconds pass are returned, so a single
-/// descheduling blip cannot masquerade as a kernel regression. The
+/// faults, kernel auto-resolution) followed by `samples` timed passes, each
+/// staging its own rank rows as a pipeline pass does; the stats of the
+/// median-seconds pass are returned, so a single descheduling blip cannot
+/// masquerade as a kernel regression. The
 /// threshold (10 nats) sits above any attainable MI, so the edge set stays
 /// empty and the timing is pure sweep cost.
 inline EngineStats timed_pass(const MiEngine& engine, par::ThreadPool& pool,

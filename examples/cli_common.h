@@ -61,8 +61,6 @@ inline void add_pipeline_options(ArgParser& args) {
            strprintf("%zu", defaults.tile_size));
   args.add("team", "threads per tile-claiming team (must divide threads)",
            strprintf("%d", defaults.team_size));
-  args.add("panel", "MI panel width B, 1-8 (0 = auto from cache footprint)",
-           strprintf("%d", defaults.panel_width));
   args.add("kernel",
            std::string("MI kernel: ") + kernel_names() +
                " (same bits; scalar is the reference)",
@@ -140,7 +138,6 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   config.threads = static_cast<int>(args.get_int("threads"));
   config.tile_size = static_cast<std::size_t>(args.get_int("tile"));
   config.team_size = static_cast<int>(args.get_int("team"));
-  config.panel_width = static_cast<int>(args.get_int("panel"));
   config.kernel = parse_kernel(args.get("kernel"));
   const auto parse_switch = [&](const char* name) {
     const std::string value = args.get(name);

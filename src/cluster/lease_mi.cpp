@@ -218,33 +218,17 @@ GeneNetwork lease_master(Comm& comm, const PairStatistic& statistic,
   const int p = comm.size();
   const std::size_t n = ranked.n_genes();
 
-  // Partition-independent resume: the signature binds (dataset, statistic
-  // parameters, tile grid, threshold) only — no world size — so journals
-  // from any rank count, the p == 1 engine included, seed this ledger, and
-  // a journal this run writes resumes on any world size.
-  // Signature parameters come from the statistic, exactly as the p == 1
-  // engine's checkpointed path derives them, so the two journal families
-  // are interchangeable even when config and statistic disagree.
-  RunSignature signature;
-  signature.n_genes = n;
-  signature.n_samples = ranked.n_samples();
-  signature.tile_size = config.tile_size;
-  signature.bins = statistic.signature_bins();
-  signature.order = statistic.signature_order();
-  signature.threshold = threshold;
-  signature.estimator = static_cast<std::uint32_t>(statistic.kind());
-  ResumeState resume;
-  std::unique_ptr<CheckpointWriter> writer;
-  if (!config.checkpoint_path.empty()) {
-    // Load before constructing the writer — the writer truncates.
-    resume = load_resume_state(config.checkpoint_path, signature, plan);
-    writer =
-        std::make_unique<CheckpointWriter>(config.checkpoint_path, signature);
-    for (const TileRecord& record : resume.records)
-      writer->append_tile(record.tile_index, record.edges);
-  }
-  LeaseLedger ledger(plan,
-                     config.checkpoint_path.empty() ? nullptr : &resume.done);
+  // Partition-independent resume: the engine's checkpointed pass opens its
+  // journal through the same open_sweep_journal, whose signature has no
+  // world size, so journals from any rank count, the p == 1 engine
+  // included, seed this ledger, and a journal this run writes resumes on
+  // any world size.
+  SweepJournal journal;
+  if (!config.checkpoint_path.empty())
+    journal = open_sweep_journal(config.checkpoint_path, statistic, ranked,
+                                 config.tile_size, threshold, plan);
+  const ResumeState& resume = journal.resume;
+  LeaseLedger ledger(plan, journal.writer ? &resume.done : nullptr);
 
   GeneNetwork network(ranked.gene_names());
   for (const TileRecord& record : resume.records)
@@ -275,7 +259,7 @@ GeneNetwork lease_master(Comm& comm, const PairStatistic& statistic,
     busy[static_cast<std::size_t>(src)] += busy_seconds;
     if (static_tile_owner(tile, n, p) != src) ++steals;
     network.add_edges(edges);
-    if (writer) writer->append_tile(t, edges);
+    if (journal.writer) journal.writer->append_tile(t, edges);
   };
 
   const auto handle_done = [&](int src, const std::vector<std::byte>& wire) {
@@ -393,9 +377,9 @@ GeneNetwork lease_master(Comm& comm, const PairStatistic& statistic,
                 n * (n - 1) / 2);
 
   network.finalize();
-  if (writer) {
-    writer->close();
-    writer.reset();
+  if (journal.writer) {
+    journal.writer->close();
+    journal.writer.reset();
     std::remove(config.checkpoint_path.c_str());
   }
 
@@ -420,7 +404,6 @@ GeneNetwork lease_sweep(Comm& comm, const PairStatistic& statistic,
                         const TingeConfig& config, LeaseSweepReport* report,
                         const std::atomic<bool>* cancel) {
   TINGE_EXPECTS(statistic.n_samples() == ranked.n_samples());
-  const std::size_t m = ranked.n_samples();
   // The GLOBAL tile plan — identical to the single-process engine's, which
   // is what makes the checkpoint journal world-size-free.
   const SweepPlan plan =
@@ -429,21 +412,17 @@ GeneNetwork lease_sweep(Comm& comm, const PairStatistic& statistic,
   const double straggle_ms = straggle_delay_ms(comm.transport());
   if (report != nullptr) *report = {};
 
-  if (config.stage_ranks && StagedRankMatrix::can_stage(m)) {
-    const StagedRankMatrix staged(ranked);
-    const auto row = [&](std::size_t g) { return staged.row(g); };
-    return comm.rank() == 0
-               ? lease_master(comm, statistic, row, ranked, plan, panels,
-                              threshold, config, straggle_ms, report, cancel)
-               : lease_worker(comm, statistic, row, ranked, plan, panels,
-                              threshold, straggle_ms, cancel);
-  }
-  const auto row = [&](std::size_t g) { return ranked.ranks(g).data(); };
-  return comm.rank() == 0
-             ? lease_master(comm, statistic, row, ranked, plan, panels,
-                            threshold, config, straggle_ms, report, cancel)
-             : lease_worker(comm, statistic, row, ranked, plan, panels,
-                            threshold, straggle_ms, cancel);
+  // One sweep context per rank and no pool: the rank stages its rows
+  // itself.
+  return with_rank_rows(
+      ranked, config, /*pool=*/nullptr, /*threads=*/1, [&](const auto& row) {
+        return comm.rank() == 0
+                   ? lease_master(comm, statistic, row, ranked, plan, panels,
+                                  threshold, config, straggle_ms, report,
+                                  cancel)
+                   : lease_worker(comm, statistic, row, ranked, plan, panels,
+                                  threshold, straggle_ms, cancel);
+      });
 }
 
 }  // namespace tinge::cluster

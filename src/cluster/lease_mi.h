@@ -135,10 +135,11 @@ struct LeaseSweepReport {
 /// finalized network on rank 0 (byte-identical to the single-process
 /// engine) and an empty finalized network elsewhere.
 ///
-/// Rank 0 honors config.checkpoint_path: completed tiles are journaled
-/// with the engine's world-size-free RunSignature, an existing matching
-/// journal seeds the ledger (resume on ANY world size), and the journal is
-/// removed on success. `cancel` is polled between tiles on every rank.
+/// Rank 0 honors config.checkpoint_path: it opens the journal through
+/// open_sweep_journal, as the engine's checkpointed pass does, so an
+/// existing matching journal seeds the ledger (resume on ANY world size);
+/// completed tiles are journaled and the journal is removed on success.
+/// `cancel` is polled between tiles on every rank.
 GeneNetwork lease_sweep(Comm& comm, const PairStatistic& statistic,
                         const RankedMatrix& ranked, double threshold,
                         const TingeConfig& config,

@@ -72,9 +72,9 @@ struct Block {
   std::size_t first_gene = 0;
   std::size_t gene_count = 0;
   std::vector<std::uint32_t> ranks;  // gene_count x m, row-major
-  /// uint16 staged copy of `ranks` (config.stage_ranks and m <= 65536):
-  /// the sweep streams these rows instead, halving the per-pair rank
-  /// traffic. Local only — the wire format stays u32.
+  /// uint16 staged copy of `ranks` (when stages_rank_rows): the sweep
+  /// streams these rows instead, halving the per-pair rank traffic. Local
+  /// only — the wire format stays u32.
   std::vector<std::uint16_t> ranks16;
 };
 
@@ -148,10 +148,10 @@ GeneNetwork ring_sweep(Comm& comm, const PairStatistic& statistic,
   // though the rank-block tiles cut the pair space differently.
   const PanelPlan panels = statistic.plan(config);
 
-  // uint16 staging mirrors the single-chip engine's (bit-identical — the
-  // narrower indices select the same table rows).
-  const bool staged =
-      config.stage_ranks && StagedRankMatrix::can_stage(m);
+  // The engine's and the lease sweep's staging question (bit-identical —
+  // the narrower indices select the same table rows), asked once here and
+  // applied to each block as it arrives.
+  const bool staged = stages_rank_rows(config, m);
 
   // "Local load" of the resident block (not communication).
   Block resident = load_block(ranked, p, static_cast<std::uint32_t>(r));
@@ -177,23 +177,18 @@ GeneNetwork ring_sweep(Comm& comm, const PairStatistic& statistic,
   const auto sweep_blocks = [&](const SweepPlan& plan, const Block& lo,
                                 const Block& hi) {
     const Stopwatch busy_watch;
-    if (staged) {
+    const auto sweep_rows = [&](const auto& rows_of) {
       const auto row = [&](std::size_t g) {
         const Block& block = g >= hi.first_gene ? hi : lo;
-        return block.ranks16.data() + (g - block.first_gene) * m;
+        return rows_of(block) + (g - block.first_gene) * m;
       };
-      pairs += run_sweep(plan, statistic, row, panels, /*pool=*/nullptr,
-                         options, sink)[0]
-                   .pairs;
-    } else {
-      const auto row = [&](std::size_t g) {
-        const Block& block = g >= hi.first_gene ? hi : lo;
-        return block.ranks.data() + (g - block.first_gene) * m;
-      };
-      pairs += run_sweep(plan, statistic, row, panels, /*pool=*/nullptr,
-                         options, sink)[0]
-                   .pairs;
-    }
+      return run_sweep(plan, statistic, row, panels, /*pool=*/nullptr,
+                       options, sink)[0]
+          .pairs;
+    };
+    pairs += staged
+                 ? sweep_rows([](const Block& b) { return b.ranks16.data(); })
+                 : sweep_rows([](const Block& b) { return b.ranks.data(); });
     busy_seconds += busy_watch.seconds();
   };
 

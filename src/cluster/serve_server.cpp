@@ -163,9 +163,9 @@ void PairBatcher::worker() {
           cursor += n;
         }
       } catch (...) {
-        // One bad pair poisons its whole estimator group (the planner
-        // validates before sweeping, so nothing was half-computed); each
-        // member sees the original exception.
+        // The server rejects invalid pairs before they queue, so what
+        // lands here is a failure of the planner itself, which no member
+        // can be answered without; each sees the original exception.
         for (const std::size_t i : members)
           batch[i]->promise.set_exception(std::current_exception());
       }
@@ -230,18 +230,14 @@ void ServeServer::stop() {
   listen_fd_ = -1;
   {
     std::lock_guard<std::mutex> lock(clients_mutex_);
-    for (const int fd : client_fds_)
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    for (const Client& client : clients_)
+      if (client.fd >= 0) ::shutdown(client.fd, SHUT_RDWR);
   }
-  for (std::thread& thread : client_threads_)
-    if (thread.joinable()) thread.join();
-  {
-    std::lock_guard<std::mutex> lock(clients_mutex_);
-    for (int& fd : client_fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  }
+  // The accept thread is gone, so nothing adds or removes entries now; each
+  // handler closes its own socket on the way out.
+  for (Client& client : clients_)
+    if (client.thread.joinable()) client.thread.join();
+  clients_.clear();
   {
     std::lock_guard<std::mutex> lock(shutdown_mutex_);
     shutdown_ = true;
@@ -263,15 +259,22 @@ void ServeServer::accept_loop() {
     set_no_delay(fd);
     const std::uint64_t client_id = next_client_id_.fetch_add(1);
     std::lock_guard<std::mutex> lock(clients_mutex_);
-    const std::size_t slot = client_fds_.size();
-    client_fds_.push_back(fd);
-    client_threads_.emplace_back([this, fd, client_id, slot] {
+    // Join the handlers whose clients have gone. Setting `done` is their
+    // last step under this lock, so each is already on its way out.
+    clients_.remove_if([](Client& gone) {
+      if (gone.done) gone.thread.join();
+      return gone.done;
+    });
+    Client& client = clients_.emplace_back();
+    client.fd = fd;
+    client.thread = std::thread([this, &client, fd, client_id] {
       handle_client(fd, client_id);
-      // Close under the clients lock and clear the slot so stop() neither
-      // double-closes nor shuts down a recycled fd number.
-      std::lock_guard<std::mutex> slot_lock(clients_mutex_);
+      // Close under the clients lock and clear the entry's fd so stop()
+      // never shuts down a recycled fd number.
+      std::lock_guard<std::mutex> entry_lock(clients_mutex_);
       ::close(fd);
-      client_fds_[slot] = -1;
+      client.fd = -1;
+      client.done = true;
     });
   }
 }
@@ -372,9 +375,20 @@ void ServeServer::serve_request(int fd, std::mutex& send_mutex,
         if (items.size() % 2 != 0)
           throw std::runtime_error(
               "serve: mi_pairs payload must be interleaved (a, b) ids");
+        // An invalid pair is this request's error alone: caught here, it
+        // never reaches the batcher, whose window it would share with
+        // other clients' valid pairs.
+        const std::size_t n_genes = state_.n_genes();
         std::vector<GenePair> pairs(items.size() / 2);
-        for (std::size_t i = 0; i < pairs.size(); ++i)
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
           pairs[i] = GenePair{items[2 * i], items[2 * i + 1]};
+          if (pairs[i].a == pairs[i].b || pairs[i].a >= n_genes ||
+              pairs[i].b >= n_genes)
+            throw std::runtime_error(strprintf(
+                "serve: pair (%u, %u) is not a valid gene pair of a "
+                "%zu-gene dataset",
+                pairs[i].a, pairs[i].b, n_genes));
+        }
         EstimatorKind estimator = state_.config().estimator;
         if (request.estimator != kEstimatorDefault) {
           if (request.estimator >
@@ -463,7 +477,8 @@ void ServeServer::serve_request(int fd, std::mutex& send_mutex,
         summary["tiles_resumed"] = static_cast<double>(stats.tiles_resumed);
         summary["seconds"] = consensus ? vote.seconds : stats.seconds;
         summary["kernel"] = consensus ? vote.kernel : std::string(stats.kernel);
-        summary["estimator"] = stats.estimator;
+        summary["estimator"] =
+            consensus ? vote.estimator : std::string(stats.estimator);
         const std::string text = summary.dump();
         send_response(fd, send_mutex, tag, kind, kServeOk, text.data(),
                       text.size(), 1);

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -148,7 +149,9 @@ class PairBatcher {
   ~PairBatcher();
 
   /// Blocks until the batch containing this query is answered. Throws what
-  /// the planner threw (e.g. ContractViolation for an invalid pair).
+  /// the planner threw. Every queued query shares the planner call of its
+  /// estimator group, so callers validate their pairs first (an invalid
+  /// pair would fail every query of the group).
   std::vector<double> query(EstimatorKind estimator,
                             std::vector<GenePair> pairs);
 
@@ -175,7 +178,10 @@ class PairBatcher {
 /// and runs one handler thread per client until the peer disconnects or a
 /// Shutdown query arrives. Abrupt disconnects (peer closes mid-frame) are
 /// routine, not fatal: the handler drops that client and the daemon keeps
-/// serving (framing sends use MSG_NOSIGNAL, so no SIGPIPE either).
+/// serving (framing sends use MSG_NOSIGNAL, so no SIGPIPE either). A
+/// departed client's thread is joined, and its entry dropped, at the next
+/// accept, so a daemon answering one-shot clients holds only the threads
+/// of the clients still connected.
 class ServeServer {
  public:
   /// Binds and starts accepting immediately. `state` must outlive the
@@ -213,9 +219,21 @@ class ServeServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::thread accept_thread_;
+  /// One connected client. Its handler closes the socket, sets fd to -1
+  /// and sets done, all under clients_mutex_, when the client goes. The
+  /// handler holds the entry's address, so it never moves.
+  struct Client {
+    Client() = default;
+    Client(const Client&) = delete;
+    Client& operator=(const Client&) = delete;
+    int fd = -1;
+    bool done = false;
+    std::thread thread;
+  };
   std::mutex clients_mutex_;
-  std::vector<std::thread> client_threads_;
-  std::vector<int> client_fds_;
+  /// A list, so a handler's reference to its entry outlives the removal
+  /// of others.
+  std::list<Client> clients_;
   std::atomic<std::uint64_t> clients_served_{0};
   std::atomic<std::uint64_t> next_client_id_{0};
   std::mutex shutdown_mutex_;

@@ -13,7 +13,6 @@ void TingeConfig::validate() const {
   TINGE_EXPECTS(tile_size >= 1);
   TINGE_EXPECTS(threads >= 0);
   TINGE_EXPECTS(team_size >= 1);
-  TINGE_EXPECTS(panel_width >= 0 && panel_width <= kMaxPanelWidth);
   TINGE_EXPECTS(dpi_tolerance >= 0.0 && dpi_tolerance < 1.0);
   TINGE_EXPECTS(cluster_ranks >= 0);
   TINGE_EXPECTS(cluster_transport == "inproc" || cluster_transport == "tcp");

@@ -39,24 +39,11 @@ struct TingeConfig {
   /// way.
   int team_size = 1;
 
-  /// Panel width B for the row-reuse MI kernel: each tile row is swept as
-  /// batches of B column genes sharing the row gene's sorted sample order
-  /// and weight broadcasts.
-  /// 0 = auto (largest B <= kMaxPanelWidth whose histograms fit the panel
-  /// cache budget, see auto_panel_width).
-  int panel_width = 0;
-
   // --- memory-side knob (bit-identical) ----------------------------------
   /// Stage rank rows as uint16 for the O(n^2) sweep when m <= 65536,
   /// halving the streamed rank bytes. Falls back to uint32 transparently
   /// for larger m.
   bool stage_ranks = true;
-
-  /// Progress-callback throttle for the checkpointed engine: invoke the
-  /// callback at most once per this many completed tiles (the ~100 ms time
-  /// floor and the final tile always report). 1 = every tile (what the
-  /// failure-injection tests rely on); 0 = auto (~tiles/128).
-  std::size_t progress_tile_interval = 0;
 
   // --- reproducibility ----------------------------------------------------
   std::uint64_t seed = 20140519;  ///< drives the permutation null

@@ -89,7 +89,10 @@ GeneNetwork build_consensus_network(
   // preserves m, so one null per estimator serves every resample.
   std::vector<double> thresholds;
   thresholds.reserve(estimators.size());
+  std::string names;
   for (const EstimatorKind kind : estimators) {
+    if (!names.empty()) names += ',';
+    names += estimator_name(kind);
     const TingeConfig member = member_config(config, kind);
     const std::unique_ptr<PairStatistic> statistic =
         make_pair_statistic(member, ranked, &working);
@@ -134,7 +137,10 @@ GeneNetwork build_consensus_network(
         ++votes[(static_cast<std::uint64_t>(edge.u) << 32) | edge.v];
       pairs_computed += n * (n - 1) / 2;
       tiles += run.tiles;
-      if (b == 0) kernels += (e == 0 ? "" : ",") + std::string(run.kernel);
+      if (b == 0) {
+        if (e > 0) kernels += ',';
+        kernels += run.kernel;
+      }
     }
   }
 
@@ -166,6 +172,7 @@ GeneNetwork build_consensus_network(
     stats->pairs_computed = pairs_computed;
     stats->tiles = tiles;
     stats->kernel = std::move(kernels);
+    stats->estimator = std::move(names);
     stats->seconds = watch.seconds();
   }
   return consensus;

@@ -55,6 +55,8 @@ struct ConsensusStats {
   /// The kernel each estimator's member sweeps resolved
   /// (EngineStats::kernel), comma-joined in estimator order.
   std::string kernel;
+  /// The voting estimators' names, comma-joined in list order.
+  std::string estimator;
   double seconds = 0.0;
 };
 

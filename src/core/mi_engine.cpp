@@ -13,10 +13,11 @@ namespace tinge {
 namespace {
 
 // Every compute_* method is a configuration of run_sweep (core/sweep.h):
-// the same triangular plan and panel kernel, differing only in scheduler
-// options and sink. The executor owns the tile/panel loops, the teamed
-// claiming protocol and the resume filter; the methods below just wire a
-// plan + scheduler + sink together and finalize the stats.
+// the same triangular plan, panel kernel and rank rows (with_rank_rows),
+// differing only in scheduler options and sink. The executor owns the
+// tile/panel loops, the teamed claiming protocol and the resume filter; the
+// methods below just wire a plan + scheduler + sink together and finalize
+// the stats.
 
 SweepOptions sweep_options(const TingeConfig& config,
                            const par::ThreadPool& pool) {
@@ -33,46 +34,6 @@ std::uint64_t total_pairs_swept(const std::vector<SweepCounters>& counters) {
   std::uint64_t pairs = 0;
   for (const SweepCounters& c : counters) pairs += c.pairs;
   return pairs;
-}
-
-// Dispatches run_sweep over the staged uint16 rows when available, the
-// classic uint32 rows otherwise — the only place the engine's row-source
-// choice is made. Staging is estimator-independent: the B-spline kernels
-// index the same table rows either way and the generic fallback widens
-// losslessly, so every statistic sees identical rank values.
-template <typename Sink>
-std::vector<SweepCounters> run_ranked_sweep(
-    const SweepPlan& plan, const PairStatistic& estimator,
-    const RankedMatrix& ranks, const StagedRankMatrix* staged,
-    const PanelPlan& panels, par::ThreadPool* pool,
-    const SweepOptions& options, Sink& sink) {
-  if (staged != nullptr) {
-    return run_sweep(
-        plan, estimator, [staged](std::size_t g) { return staged->row(g); },
-        panels, pool, options, sink);
-  }
-  return run_sweep(
-      plan, estimator,
-      [&ranks](std::size_t g) { return ranks.ranks(g).data(); }, panels, pool,
-      options, sink);
-}
-
-// Parallel fill of the staged matrix: each pool context converts one
-// contiguous block of gene rows, so a row's pages are first touched by a
-// sweep context rather than all by the caller.
-void fill_staged_first_touch(StagedRankMatrix& staged,
-                             const RankedMatrix& ranks, par::ThreadPool& pool,
-                             int threads) {
-  const std::size_t n = ranks.n_genes();
-  if (threads <= 1) {
-    staged.fill_rows(ranks, 0, n);
-    return;
-  }
-  const auto t = static_cast<std::size_t>(threads);
-  pool.run(threads, [&](int tid, int /*width*/) {
-    const auto c = static_cast<std::size_t>(tid);
-    staged.fill_rows(ranks, n * c / t, n * (c + 1) / t);
-  });
 }
 
 }  // namespace
@@ -114,20 +75,6 @@ MiEngine::MiEngine(const PairStatistic& statistic, const RankedMatrix& ranks)
   TINGE_EXPECTS(ranks.n_genes() >= 2);
 }
 
-const StagedRankMatrix* MiEngine::staged_ranks(const TingeConfig& config,
-                                               par::ThreadPool& pool,
-                                               int threads) const {
-  if (!config.stage_ranks || !StagedRankMatrix::can_stage(ranks_.n_samples()))
-    return nullptr;
-  std::call_once(staged_once_, [&] {
-    auto staged = std::make_unique<StagedRankMatrix>(ranks_.n_genes(),
-                                                     ranks_.n_samples());
-    fill_staged_first_touch(*staged, ranks_, pool, threads);
-    staged_ = std::move(staged);
-  });
-  return staged_.get();
-}
-
 GeneNetwork MiEngine::compute_network(double threshold,
                                       const TingeConfig& config,
                                       par::ThreadPool& pool,
@@ -138,12 +85,12 @@ GeneNetwork MiEngine::compute_network(double threshold,
       SweepPlan::triangular(0, ranks_.n_genes(), config.tile_size);
   const PanelPlan panels = statistic_.plan(config);
   const SweepOptions options = sweep_options(config, pool);
-  const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads);
 
   EdgeSink sink(threshold, options.threads);
-  const std::vector<SweepCounters> counters = run_ranked_sweep(
-      plan, statistic_, ranks_, staged, panels, &pool, options, sink);
+  const std::vector<SweepCounters> counters = with_rank_rows(
+      ranks_, config, &pool, options.threads, [&](const auto& row) {
+        return run_sweep(plan, statistic_, row, panels, &pool, options, sink);
+      });
 
   GeneNetwork network(ranks_.gene_names());
   sink.drain_into(network);
@@ -168,34 +115,17 @@ GeneNetwork MiEngine::compute_network_checkpointed(
   const PanelPlan panels = statistic_.plan(config);
   SweepOptions options = sweep_options(config, pool);
 
-  const RunSignature signature{
-      ranks_.n_genes(),
-      ranks_.n_samples(),
-      config.tile_size,
-      statistic_.signature_bins(),
-      statistic_.signature_order(),
-      threshold,
-      static_cast<std::uint32_t>(statistic_.kind())};
-  const ResumeState resume =
-      load_resume_state(checkpoint_path, signature, plan);
+  SweepJournal journal = open_sweep_journal(
+      checkpoint_path, statistic_, ranks_, config.tile_size, threshold, plan);
+  const ResumeState& resume = journal.resume;
   options.skip = &resume.done;
-  const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads);
-
-  // Rewrite the journal fresh (drops any torn tail), replaying prior tiles.
-  CheckpointWriter writer(checkpoint_path, signature);
-  for (const TileRecord& record : resume.records)
-    writer.append_tile(record.tile_index, record.edges);
-
-  const std::size_t interval =
-      config.progress_tile_interval > 0
-          ? config.progress_tile_interval
-          : std::max<std::size_t>(1, plan.count() / 128);
-  JournalSink sink(writer, threshold, options.threads,
-                   {progress, interval, plan.count(), resume.records.size()});
-  const std::vector<SweepCounters> counters = run_ranked_sweep(
-      plan, statistic_, ranks_, staged, panels, &pool, options, sink);
-  writer.close();
+  JournalSink sink(*journal.writer, threshold, options.threads,
+                   {progress, plan.count(), resume.records.size()});
+  const std::vector<SweepCounters> counters = with_rank_rows(
+      ranks_, config, &pool, options.threads, [&](const auto& row) {
+        return run_sweep(plan, statistic_, row, panels, &pool, options, sink);
+      });
+  journal.writer->close();
 
   // All tiles journaled: assemble the network from the (now complete) file
   // so the result is exactly what a resume would produce.
@@ -223,12 +153,12 @@ std::vector<float> MiEngine::compute_dense(const TingeConfig& config,
   const SweepPlan plan = SweepPlan::triangular(0, n, config.tile_size);
   const PanelPlan panels = statistic_.plan(config);
   const SweepOptions options = sweep_options(config, pool);
-  const StagedRankMatrix* staged =
-      staged_ranks(config, pool, options.threads);
 
   DenseSink sink(mi_matrix.data(), n);
-  const std::vector<SweepCounters> counters = run_ranked_sweep(
-      plan, statistic_, ranks_, staged, panels, &pool, options, sink);
+  const std::vector<SweepCounters> counters = with_rank_rows(
+      ranks_, config, &pool, options.threads, [&](const auto& row) {
+        return run_sweep(plan, statistic_, row, panels, &pool, options, sink);
+      });
 
   finalize_engine_pass(stats, panels, plan.count(), watch.seconds(), counters,
                        /*edges_emitted=*/0, /*tiles_resumed=*/0,

@@ -22,8 +22,7 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/config.h"
@@ -139,11 +138,11 @@ class MiEngine {
   /// recomputing the whole triangle.
   ///
   /// `progress(done, total)` is called from worker threads (serialized) as
-  /// tiles complete — throttled to at most once per
-  /// config.progress_tile_interval tiles or ~100 ms, whichever comes first;
-  /// the final tile always reports and an interval of 1 restores per-tile
-  /// callbacks. An exception thrown from it aborts the run exactly like a
-  /// crash would — which is how the failure-injection tests exercise resume.
+  /// tiles complete — throttled to at most once per max(1, tiles / 128)
+  /// tiles or ~100 ms, whichever comes first; the final tile always
+  /// reports, and a pass below 256 tiles reports every tile. An exception
+  /// thrown from it aborts the run exactly like a crash would — which is
+  /// how the failure-injection tests exercise resume.
   /// Honors config.team_size, so a checkpointed run can resume under the
   /// teamed scheduler (and vice versa — the journal is scheduler-agnostic).
   GeneNetwork compute_network_checkpointed(
@@ -153,19 +152,8 @@ class MiEngine {
       bool keep_checkpoint = false) const;
 
  private:
-  /// The uint16 staged copy of the rank matrix (config.stage_ranks and
-  /// m <= 65536; null otherwise). Built lazily on the first sweep — each
-  /// pool context fills one contiguous block of gene rows — then reused by
-  /// every later pass (the staging is config-independent apart from the
-  /// on/off gate).
-  const StagedRankMatrix* staged_ranks(const TingeConfig& config,
-                                       par::ThreadPool& pool,
-                                       int threads) const;
-
   const PairStatistic& statistic_;
   const RankedMatrix& ranks_;
-  mutable std::once_flag staged_once_;
-  mutable std::unique_ptr<StagedRankMatrix> staged_;
 };
 
 }  // namespace tinge

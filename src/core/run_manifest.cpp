@@ -44,7 +44,6 @@ obs::Json config_to_json(const TingeConfig& config) {
   json["team_size"] = obs::Json(config.team_size);
   json["kernel"] = obs::Json(std::string(kernel_name(config.kernel)));
   json["schedule"] = obs::Json(std::string(par::schedule_name(config.schedule)));
-  json["panel_width"] = obs::Json(config.panel_width);
   json["stage_ranks"] = obs::Json(config.stage_ranks);
   json["seed"] = obs::Json(config.seed);
   json["checkpoint_path"] = obs::Json(config.checkpoint_path);

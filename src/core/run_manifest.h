@@ -20,7 +20,7 @@
 namespace tinge {
 
 /// Bumped whenever a field is renamed or removed (additions are free).
-inline constexpr int kManifestSchemaVersion = 1;
+inline constexpr int kManifestSchemaVersion = 2;
 
 /// What a cluster (sharded) run records about its communication layer.
 /// core cannot depend on the cluster module, so the cluster pipeline maps

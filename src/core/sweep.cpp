@@ -37,11 +37,8 @@ SweepPlan SweepPlan::from_tiles(std::vector<Tile> tiles) {
 
 PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config) {
   const WeightTable& table = estimator.table();
-  const int width = config.panel_width > 0
-                        ? std::min(config.panel_width, kMaxPanelWidth)
-                        : auto_panel_width(table);
   const MiKernel kernel = resolve_kernel(config.kernel, table.bins());
-  return PanelPlan{kernel, width, kernel_name(kernel)};
+  return PanelPlan{kernel, auto_panel_width(table), kernel_name(kernel)};
 }
 
 void JournalSink::tile_end(int tid, std::size_t t, int team_width) {
@@ -65,9 +62,10 @@ void JournalSink::tile_end(int tid, std::size_t t, int team_width) {
   // journal's fsync cadence, and durability must not depend on whether
   // anyone asked for progress lines.
   constexpr std::int64_t kProgressMinMicros = 100'000;  // ~100 ms
-  bool due = progress_.interval <= 1 || completed == progress_.total ||
+  const std::size_t interval = std::max<std::size_t>(1, progress_.total / 128);
+  bool due = interval == 1 || completed == progress_.total ||
              completed - last_reported_.load(std::memory_order_relaxed) >=
-                 progress_.interval;
+                 interval;
   if (!due) {
     const auto now_us = static_cast<std::int64_t>(watch_.seconds() * 1e6);
     due = now_us - last_report_us_.load(std::memory_order_relaxed) >=
@@ -85,6 +83,8 @@ void JournalSink::tile_end(int tid, std::size_t t, int team_width) {
     if (progress_.callback) progress_.callback(completed, progress_.total);
   }
 }
+
+namespace {
 
 ResumeState load_resume_state(const std::string& path,
                               const RunSignature& signature,
@@ -139,6 +139,29 @@ ResumeState load_resume_state(const std::string& path,
     }
   }
   return resume;
+}
+
+}  // namespace
+
+SweepJournal open_sweep_journal(const std::string& path,
+                                const PairStatistic& statistic,
+                                const RankedMatrix& ranks,
+                                std::size_t tile_size, double threshold,
+                                const SweepPlan& plan) {
+  const RunSignature signature{ranks.n_genes(),
+                               ranks.n_samples(),
+                               tile_size,
+                               statistic.signature_bins(),
+                               statistic.signature_order(),
+                               threshold,
+                               static_cast<std::uint32_t>(statistic.kind())};
+  SweepJournal journal;
+  // Load before constructing the writer: the writer truncates.
+  journal.resume = load_resume_state(path, signature, plan);
+  journal.writer = std::make_unique<CheckpointWriter>(path, signature);
+  for (const TileRecord& record : journal.resume.records)
+    journal.writer->append_tile(record.tile_index, record.edges);
+  return journal;
 }
 
 namespace {

@@ -48,6 +48,7 @@
 #include "parallel/parallel_for.h"
 #include "parallel/reduction.h"
 #include "parallel/thread_pool.h"
+#include "preprocess/rank_transform.h"
 #include "util/aligned.h"
 #include "util/contracts.h"
 #include "util/str.h"
@@ -101,10 +102,49 @@ class SweepPlan {
 // its own plan); the B-spline resolution stays here.
 
 /// Resolves kernel and panel width for a B-spline pass (statically: Auto is
-/// the vector kernel wherever it can run), and names the kernel that
+/// the vector kernel wherever it can run; the width is always
+/// auto_panel_width, 8 at every b <= 80), and names the kernel that
 /// actually runs for the stats. This is what BsplineStat::plan delegates
 /// to.
 PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config);
+
+// --- rank rows --------------------------------------------------------------
+
+/// Whether a pass sweeps uint16 staged rank rows: config.stage_ranks and
+/// every rank fits uint16 (m <= 65536). The engine, the lease sweep and
+/// the ring (which narrows each received block) all ask this one question.
+inline bool stages_rank_rows(const TingeConfig& config,
+                             std::size_t n_samples) {
+  return config.stage_ranks && StagedRankMatrix::can_stage(n_samples);
+}
+
+/// Returns sweep(row), where row(g) is gene g's uint16 staged row when
+/// stages_rank_rows(config, m) and its uint32 row otherwise (both select
+/// the same weight-table rows). The staged copy lives for this call; each
+/// of `threads` pool contexts narrows one contiguous block of gene rows,
+/// so a sweep context first touches its pages (the caller narrows them
+/// all when `pool` is null or threads <= 1).
+template <typename Sweep>
+auto with_rank_rows(const RankedMatrix& ranks, const TingeConfig& config,
+                    par::ThreadPool* pool, int threads, Sweep&& sweep) {
+  if (!stages_rank_rows(config, ranks.n_samples())) {
+    const auto row = [&ranks](std::size_t g) { return ranks.ranks(g).data(); };
+    return sweep(row);
+  }
+  StagedRankMatrix staged(ranks.n_genes(), ranks.n_samples());
+  const std::size_t n = ranks.n_genes();
+  if (pool == nullptr || threads <= 1) {
+    staged.fill_rows(ranks, 0, n);
+  } else {
+    const auto t = static_cast<std::size_t>(threads);
+    pool->run(threads, [&](int tid, int /*width*/) {
+      const auto c = static_cast<std::size_t>(tid);
+      staged.fill_rows(ranks, n * c / t, n * (c + 1) / t);
+    });
+  }
+  const auto row = [&staged](std::size_t g) { return staged.row(g); };
+  return sweep(row);
+}
 
 // --- scheduler --------------------------------------------------------------
 
@@ -233,7 +273,6 @@ class JournalSink {
     /// progress(done, total), serialized across workers; an exception
     /// thrown from it aborts the pass (how failure injection tests resume).
     std::function<void(std::size_t, std::size_t)> callback;
-    std::size_t interval = 1;      ///< min completed tiles between reports
     std::size_t total = 0;         ///< plan tile count
     std::size_t already_done = 0;  ///< tiles replayed from the journal
   };
@@ -263,9 +302,10 @@ class JournalSink {
   par::PerThread<std::vector<Edge>> buffers_;
 
   // Progress throttle: the callback serializes workers behind a mutex, so
-  // at whole-genome tile counts it is invoked at most once per `interval`
-  // tiles or ~100 ms (whichever comes first); the final tile always
-  // reports, and interval == 1 restores exact per-tile callbacks.
+  // at whole-genome tile counts it is invoked at most once per
+  // max(1, total / 128) tiles or ~100 ms (whichever comes first); the
+  // final tile always reports, and a plan below 256 tiles reports every
+  // tile.
   Progress progress_;
   Stopwatch watch_;
   std::mutex progress_mutex_;
@@ -283,21 +323,29 @@ struct ResumeState {
   std::size_t pairs_resumed = 0;   ///< pair_count over the replayed tiles
 };
 
-/// Loads the checkpoint at `path` if it exists and matches `signature`;
-/// deduplicates records (first occurrence wins) and drops indices outside
-/// the plan. Returns an all-clear state when no matching checkpoint exists
-/// — except when the journal differs from `signature` *only* in the
-/// estimator, which is almost certainly an operator error (same data, same
-/// tiling, wrong --estimator): that throws ContractViolation naming both
-/// estimators instead of silently recomputing. A matching B-spline journal
-/// written in another accumulation order (journal versions 1 and 2) also
-/// throws, naming both journal versions: its values would differ in the
-/// last bits from the ones this build computes. The engine's checkpointed
-/// pass, the cluster lease sweep and the daemon's journal restore all
-/// resume through here.
-ResumeState load_resume_state(const std::string& path,
-                              const RunSignature& signature,
-                              const SweepPlan& plan);
+/// A sweep's checkpoint journal, open for appending: the tiles a previous
+/// attempt journaled, and a writer that has already replayed them.
+struct SweepJournal {
+  ResumeState resume;
+  std::unique_ptr<CheckpointWriter> writer;
+};
+
+/// Opens the journal at `path` for a sweep of `plan`, under the one run
+/// signature every sweep journal carries: the dataset shape (`ranks`), the
+/// statistic's kind and parameters, `tile_size` and `threshold`, with no
+/// world size, so the engine's checkpointed pass and the lease master
+/// resume each other's journals. A matching journal's tiles are loaded
+/// (first record wins, indices outside the plan dropped), then the file is
+/// truncated and they are replayed, dropping any torn tail. Anything else
+/// starts fresh — except a journal differing *only* in the estimator (same
+/// data and tiling, wrong --estimator), or a matching B-spline journal in
+/// another accumulation order (versions 1 and 2, whose last bits differ):
+/// both throw ContractViolation naming the two values.
+SweepJournal open_sweep_journal(const std::string& path,
+                                const PairStatistic& statistic,
+                                const RankedMatrix& ranks,
+                                std::size_t tile_size, double threshold,
+                                const SweepPlan& plan);
 
 // --- stats finalizer --------------------------------------------------------
 

@@ -170,8 +170,8 @@ class EngineCheckpointFixture : public CheckpointFixture {
     TingeConfig c;
     c.tile_size = 6;
     c.threads = 2;
-    // Failure injection needs the callback after every tile, not throttled.
-    c.progress_tile_interval = 1;
+    // Failure injection needs the callback after every tile: at 21 tiles
+    // (under 256) the progress throttle reports each one.
     return c;
   }
 

@@ -52,7 +52,6 @@ class EngineObservability : public ::testing::Test {
     c.threads = 2;
     c.team_size = team_size;
     c.kernel = MiKernel::Scalar;
-    c.progress_tile_interval = 1;
     return c;
   }
 

@@ -29,7 +29,8 @@ SyntheticDataset golden_dataset() {
 }
 
 // Everything that could float is pinned: the scalar kernel (no ISA
-// dispatch), an explicit panel width, a fixed thread count and seed.
+// dispatch), a fixed thread count and seed. The panel width follows from
+// the bins: auto_panel_width is 8 at b = 10.
 TingeConfig golden_config() {
   TingeConfig config;
   config.permutations = 500;
@@ -37,7 +38,6 @@ TingeConfig golden_config() {
   config.threads = 2;
   config.tile_size = 16;
   config.kernel = MiKernel::Scalar;
-  config.panel_width = 2;
   config.apply_dpi = true;
   config.dpi_tolerance = 0.15;
   return config;
@@ -80,7 +80,8 @@ TEST_F(GoldenRun, SchemaVersionAndConfigEcho) {
   EXPECT_EQ(config.at("tile_size").as_int(), 16);
   EXPECT_EQ(config.at("kernel").as_string(), "scalar");
   EXPECT_EQ(config.at("schedule").as_string(), "dynamic");
-  EXPECT_EQ(config.at("panel_width").as_int(), 2);
+  // Schema 2 dropped the panel-width knob: the width is resolved only.
+  EXPECT_EQ(config.find("panel_width"), nullptr);
   // The memory-side knob echoes its configured (not resolved) value.
   EXPECT_EQ(config.at("stage_ranks").as_bool(), true);
   EXPECT_EQ(config.at("seed").as_int(), 20140519);
@@ -90,7 +91,7 @@ TEST_F(GoldenRun, SchemaVersionAndConfigEcho) {
 TEST_F(GoldenRun, ResolvedKernelAndPanelArePinned) {
   const obs::Json& resolved = manifest_->at("resolved");
   EXPECT_EQ(resolved.at("kernel").as_string(), "scalar");
-  EXPECT_EQ(resolved.at("panel_width").as_int(), 2);
+  EXPECT_EQ(resolved.at("panel_width").as_int(), 8);
 }
 
 TEST_F(GoldenRun, StageTreeShapeIsPinned) {
@@ -140,7 +141,7 @@ TEST_F(GoldenRun, ResultSectionMatchesTheInMemoryRun) {
 TEST_F(GoldenRun, EngineSectionCarriesSchedulerAccounting) {
   const obs::Json& engine = manifest_->at("engine");
   EXPECT_EQ(engine.at("kernel").as_string(), "scalar");
-  EXPECT_EQ(engine.at("panel_width").as_int(), 2);
+  EXPECT_EQ(engine.at("panel_width").as_int(), 8);
   EXPECT_EQ(static_cast<std::size_t>(engine.at("pairs_computed").as_int()),
             std::size_t{48} * 47 / 2);
   EXPECT_EQ(engine.at("pairs_resumed").as_int(), 0);

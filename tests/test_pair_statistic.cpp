@@ -236,8 +236,8 @@ TEST_F(EstimatorCheckpointFixture, SameEstimatorJournalStillResumes) {
   TingeConfig config;
   config.tile_size = 8;
   config.threads = 2;
-  // Failure injection needs the callback after every tile, not throttled.
-  config.progress_tile_interval = 1;
+  // Failure injection needs the callback after every tile: at 6 tiles
+  // (under 256) the progress throttle reports each one.
   config.estimator = EstimatorKind::Histogram;
   const std::unique_ptr<PairStatistic> statistic =
       make_pair_statistic(config, ranked_, &matrix_);

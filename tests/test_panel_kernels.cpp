@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/mi_engine.h"
+#include "core/sweep.h"
 #include "mi/bspline_kernels.h"
 #include "mi/bspline_mi.h"
 #include "preprocess/rank_transform.h"
@@ -227,25 +228,38 @@ TEST_F(PanelEngineFixture, NetworkEdgesIdenticalToPerPairPath) {
   const MiEngine engine(statistic_, ranked_);
   par::ThreadPool pool(3);
   const double threshold = 0.12;
+  constexpr std::size_t kTile = 7;  // forces ragged tile edges
+  const SweepPlan plan = SweepPlan::triangular(0, kGenes, kTile);
+  SweepOptions options;
+  options.threads = 3;
   // Simd maps to the identical panel accumulation order, so the edge sets
-  // (including weights, bit for bit) must match the per-pair seed path.
+  // (including weights, bit for bit) must match the per-pair seed path:
+  // through the engine, which sweeps at the auto width, and through
+  // run_sweep at forced widths.
   for (const MiKernel kernel : {MiKernel::Scalar, MiKernel::Simd}) {
     const std::set<EdgeKey> expected = per_pair_edges(kernel, threshold);
-    for (const int panel_width : {0, 1, 3, 8}) {
-      TingeConfig config;
-      config.kernel = kernel;
-      config.panel_width = panel_width;
-      config.tile_size = 7;  // forces ragged tile edges
-      config.threads = 3;
-      EngineStats stats;
-      const GeneNetwork network =
-          engine.compute_network(threshold, config, pool, &stats);
-      EXPECT_EQ(to_set(network), expected)
-          << kernel_name(kernel) << " B=" << panel_width;
-      EXPECT_GE(stats.panel_width, 1);
-      if (panel_width > 0) {
-        EXPECT_EQ(stats.panel_width, panel_width);
-      }
+    TingeConfig config;
+    config.kernel = kernel;
+    config.tile_size = kTile;
+    config.threads = 3;
+    EngineStats stats;
+    const GeneNetwork network =
+        engine.compute_network(threshold, config, pool, &stats);
+    EXPECT_EQ(to_set(network), expected) << kernel_name(kernel) << " engine";
+    EXPECT_EQ(stats.panel_width, auto_panel_width(estimator_.table()));
+
+    for (const int width : {1, 3, 8}) {
+      const PanelPlan panels{kernel, width, kernel_name(kernel)};
+      EdgeSink sink(threshold, options.threads);
+      run_sweep(
+          plan, statistic_,
+          [this](std::size_t g) { return ranked_.ranks(g).data(); }, panels,
+          &pool, options, sink);
+      GeneNetwork swept(ranked_.gene_names());
+      sink.drain_into(swept);
+      swept.finalize();
+      EXPECT_EQ(to_set(swept), expected)
+          << kernel_name(kernel) << " B=" << width;
     }
   }
 }
@@ -277,14 +291,28 @@ TEST_F(PanelEngineFixture, StatsReportResolvedKernelAndPanelWidth) {
   EXPECT_STRNE(stats.kernel, "?");
   // Auto resolves to a concrete variant name, never the policy name.
   EXPECT_STRNE(stats.kernel, "auto");
-  EXPECT_GE(stats.panel_width, 1);
-  EXPECT_LE(stats.panel_width, kMaxPanelWidth);
+  // The engine always sweeps at the auto width: 8 at b = 10.
+  EXPECT_EQ(stats.panel_width, auto_panel_width(estimator_.table()));
+  EXPECT_EQ(stats.panel_width, kMaxPanelWidth);
 
   config.kernel = MiKernel::Scalar;
-  config.panel_width = 5;
   engine.compute_network(0.2, config, pool, &stats);
   EXPECT_STREQ(stats.kernel, "scalar");
+
+  // A pass reports the width of the plan it swept at, whatever that is.
+  const SweepPlan plan = SweepPlan::triangular(0, kGenes, config.tile_size);
+  const PanelPlan panels{MiKernel::Scalar, 5, kernel_name(MiKernel::Scalar)};
+  EdgeSink sink(0.2, /*contexts=*/1);
+  const std::vector<SweepCounters> counters = run_sweep(
+      plan, statistic_,
+      [this](std::size_t g) { return ranked_.ranks(g).data(); }, panels,
+      nullptr, SweepOptions{}, sink);
+  finalize_engine_pass(&stats, panels, plan.count(), /*seconds=*/0.0,
+                       counters, /*edges_emitted=*/0, /*tiles_resumed=*/0,
+                       /*pairs_resumed=*/0);
+  EXPECT_STREQ(stats.kernel, "scalar");
   EXPECT_EQ(stats.panel_width, 5);
+  EXPECT_GT(stats.panels_swept, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // uint16 rank staging is claimed to be bit-identical: it changes where
 // bytes come from, never which floats are multiplied in which order. These
 // tests enforce that claim at every layer — raw panel kernels, the engine
-// and the cluster ring sweep.
+// and the cluster ring and lease sweeps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -202,6 +202,37 @@ TEST(ClusterStaging, RingSweepMatchesWithStagingOnAndOff) {
       EXPECT_EQ(staged.edges()[i].u, classic.edges()[i].u);
       EXPECT_EQ(staged.edges()[i].v, classic.edges()[i].v);
       EXPECT_EQ(staged.edges()[i].weight, classic.edges()[i].weight);
+    }
+  }
+}
+
+TEST(ClusterStaging, LeaseSweepMatchesTheEngineWithStagingOnAndOff) {
+  const RankedMatrix ranked = random_ranked(24, 72, 31);
+  const BsplineMi estimator(10, 3, 72);
+  const BsplineStat statistic(estimator);
+  par::ThreadPool pool(2);
+
+  // The reference: the single-process engine on uint32 rows.
+  TingeConfig classic;
+  classic.threads = 2;
+  classic.stage_ranks = false;
+  const GeneNetwork reference =
+      MiEngine(statistic, ranked).compute_network(0.2, classic, pool);
+  ASSERT_GT(reference.n_edges(), 0u);
+
+  for (const bool stage : {false, true}) {
+    TingeConfig config;
+    config.cluster_balance = "lease";
+    config.tile_size = 8;  // several tiles to lease at 24 genes
+    config.stage_ranks = stage;
+    for (const int ranks : {2, 3}) {
+      const GeneNetwork leased = cluster::cluster_compute_network(
+          statistic, ranked, 0.2, ranks, config);
+      ASSERT_EQ(leased.n_edges(), reference.n_edges())
+          << ranks << " ranks, stage_ranks " << stage;
+      for (std::size_t i = 0; i < reference.n_edges(); ++i)
+        EXPECT_EQ(leased.edges()[i], reference.edges()[i])
+            << ranks << " ranks, stage_ranks " << stage;
     }
   }
 }

@@ -14,8 +14,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -465,14 +467,16 @@ cluster::SweepJobResult run_sweep_job(ServeState& state) {
 TEST(ServeSweepJob, ReportsTheServedConsensusNetwork) {
   TingeConfig config = test_config();
   config.consensus_resamples = 3;
+  config.consensus_estimators = "spearman,bspline";
   config.apply_dpi = true;
   ServeState state(test_expression(80, 96), config, ServeOptions{});
   ASSERT_GT(state.consensus_stats().kept_edges, 0u);
   const cluster::SweepJobResult job = run_sweep_job(state);
   EXPECT_EQ(job.edges, state.network().n_edges());
-  // The members' sweeps, not the default EngineStats of a vote.
+  // The members' sweeps and voters, not the default EngineStats of a vote.
   EXPECT_GT(job.tiles, 0u);
   EXPECT_NE(job.kernel, "?");
+  EXPECT_EQ(job.estimator, "spearman,bspline");
 }
 
 TEST(ServeSweepJob, ReportsTheServedDpiNetwork) {
@@ -481,6 +485,88 @@ TEST(ServeSweepJob, ReportsTheServedDpiNetwork) {
   ServeState state(test_expression(80, 96), config, ServeOptions{});
   ASSERT_GT(state.dpi_stats().edges_removed, 0u);  // DPI has work to do
   EXPECT_EQ(run_sweep_job(state).edges, state.network().n_edges());
+}
+
+// An invalid pair is its own request's error. It must not reach the
+// batcher, whose window (held open 300 ms here) it would share with another
+// client's valid pairs and fail them too.
+TEST(ServeBatcher, InvalidPairFailsOnlyItsOwnRequest) {
+  const TingeConfig config = test_config();
+  ExpressionMatrix expression = test_expression(40, 96);
+  const BatchReference reference(expression.clone(), config);
+  const auto n = static_cast<std::uint32_t>(reference.ranked.n_genes());
+  ServeOptions options;
+  options.flush_deadline_ms = 300.0;
+  ServeState state(std::move(expression), config, options);
+  ServeServer server(state, options);
+
+  const std::vector<GenePair> valid{{0, 1}, {3, n - 1}};
+  for (const GenePair invalid : {GenePair{2, n + 5}, GenePair{5, 5}}) {
+    SCOPED_TRACE(testing::Message() << "invalid pair (" << invalid.a << ", "
+                                    << invalid.b << ")");
+    ServeClient good("127.0.0.1", server.port());
+    ServeClient bad("127.0.0.1", server.port());
+    std::vector<double> values;
+    std::string good_error;
+    std::thread asker([&] {
+      try {
+        values = good.mi_pairs(valid);
+      } catch (const std::exception& error) {
+        good_error = error.what();
+      }
+    });
+    try {
+      bad.mi_pairs(std::vector<GenePair>{invalid});
+      ADD_FAILURE() << "an invalid pair must get an error";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("not a valid gene pair"),
+                std::string::npos)
+          << error.what();
+    }
+    asker.join();
+    ASSERT_EQ(good_error, "");
+    ASSERT_EQ(values.size(), valid.size());
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      const float batch = reference.dense[valid[i].a * n + valid[i].b];
+      const float served = static_cast<float>(values[i]);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(served),
+                std::bit_cast<std::uint32_t>(batch));
+    }
+  }
+}
+
+/// The process's virtual size (VmSize in /proc/self/status), in KiB.
+long vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+// Every handler thread holds an 8 MiB stack mapping until it is joined. A
+// daemon answering one-shot clients must join each departed client's
+// thread, not keep them all until stop(): 200 of them kept would add
+// ~1.6 GB of VmSize.
+TEST_F(ServeDaemonTest, OneShotClientsDoNotAccumulateHandlerThreads) {
+  // Warm-up. Handlers of back-to-back clients overlap briefly, and a third
+  // overlapping one would map a new malloc arena (64 MiB of address space)
+  // and a new stack. Eight clients at once leave arenas and cached stacks
+  // for later handlers to reuse, so the window below measures only what
+  // departed handlers keep.
+  {
+    std::vector<ServeClient> clients;
+    for (int i = 0; i < 8; ++i)
+      clients.emplace_back("127.0.0.1", server_->port());
+    for (ServeClient& client : clients) client.ping();
+  }
+  ServeClient("127.0.0.1", server_->port()).ping();
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i)
+    ServeClient("127.0.0.1", server_->port()).ping();
+  const long grown_kib = vm_size_kib() - before;
+  EXPECT_LT(grown_kib, 64 * 1024) << "VmSize grew by " << grown_kib << " KiB";
 }
 
 TEST_F(ServeDaemonTest, ShutdownQueryReleasesWait) {

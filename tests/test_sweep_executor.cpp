@@ -46,8 +46,9 @@ class SweepExecutorTest : public ::testing::TestWithParam<MiKernel> {
     c.tile_size = 8;
     c.threads = 2;
     c.team_size = team_size;
+    // Failure injection needs per-tile progress calls: at 10 tiles (under
+    // 256) the throttle reports each one.
     c.kernel = GetParam();
-    c.progress_tile_interval = 1;  // failure injection needs per-tile calls
     return c;
   }
 
