@@ -2,10 +2,12 @@
 //
 // Prior work (TINGe-classic) needed a distributed-memory cluster for
 // whole-genome MI networks; the paper's contribution is doing it on one
-// chip. This harness runs the actual ring-pipelined distributed algorithm
-// and reports what the cluster costs beyond the computation itself: bytes
-// moved around the ring, messages, load balance — and extrapolates the
-// communication volume to the paper's full problem.
+// chip. This harness runs the distributed tile-lease sweep and reports what
+// the cluster costs beyond the computation itself: bytes moved, messages,
+// load balance. TINGe-classic's own ring moves every rank's gene block
+// around the ring, (P-1) * n * m * 4 bytes in all; the tables print that
+// closed form beside the lease's measured traffic and extrapolate it to
+// the paper's full problem.
 //
 // Two transports (--transport=inproc|tcp|both):
 //   * inproc — rank-threads with mailbox copies: measures communication
@@ -16,7 +18,6 @@
 #include "bench_common.h"
 #include "cluster/faulty_transport.h"
 #include "cluster/lease_mi.h"
-#include "cluster/ring_mi.h"
 #include "core/mi_engine.h"
 #include "parallel/thread_pool.h"
 #include "util/args.h"
@@ -50,8 +51,8 @@ int main(int argc, char** argv) {
 
   bench::print_header(
       "T4: single chip vs cluster transports (TINGe-classic baseline)",
-      strprintf("all-pairs MI over %zu genes x %zu samples; ring-pipelined "
-                "block distribution, real buffer movement",
+      strprintf("all-pairs MI over %zu genes x %zu samples; tile leases from "
+                "rank 0, real buffer movement",
                 n, m));
 
   const bench::RandomRanks data(n, m);
@@ -71,9 +72,16 @@ int main(int argc, char** argv) {
   const GeneNetwork reference =
       engine.compute_network(threshold, single_config, pool, &single_stats);
 
-  Table table({"configuration", "transport", "ring MB moved", "messages",
-               "imbalance", "edges", "seconds"});
-  table.add_row({"single chip (paper)", "-", "0.0", "0", "1.00",
+  // TINGe-classic's ring traffic: each of the P blocks of n/P genes x m
+  // u32 ranks traverses P-1 hops, (P-1) * n * m * 4 bytes in all.
+  const auto ring_megabytes = [&](int ranks) {
+    return static_cast<double>(ranks - 1) * static_cast<double>(n) *
+           static_cast<double>(m) * 4.0 / 1e6;
+  };
+
+  Table table({"configuration", "transport", "kB moved", "ring MB (P-1)nm4",
+               "messages", "imbalance", "edges", "seconds"});
+  table.add_row({"single chip (paper)", "-", "0.0", "0.0", "0", "1.00",
                  std::to_string(reference.n_edges()),
                  strprintf("%.3f", single_stats.seconds)});
 
@@ -85,7 +93,8 @@ int main(int argc, char** argv) {
       table.add_row(
           {strprintf("%d-rank cluster", ranks), stats.transport,
            strprintf("%.1f",
-                     static_cast<double>(stats.bytes_transferred) / 1e6),
+                     static_cast<double>(stats.bytes_transferred) / 1e3),
+           strprintf("%.1f", ring_megabytes(ranks)),
            std::to_string(stats.messages),
            strprintf("%.2f", stats.imbalance()),
            std::to_string(network.n_edges()),
@@ -94,13 +103,14 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::printf(
-      "(inproc rows measure arithmetic plus transport copies only; tcp rows\n"
-      "add real localhost socket time — framing, kernel buffers, wakeups —\n"
-      "for the same byte volume. MB moved, messages and imbalance are\n"
-      "transport-invariant, and the edge lists are identical by test.)\n");
+      "(kB moved is the lease sweep's measured traffic: grants and each\n"
+      "tile's surviving edges, since every rank ranks the whole matrix\n"
+      "itself. The ring column is the closed form of TINGe-classic's block\n"
+      "ring. inproc rows measure arithmetic plus transport copies only; tcp\n"
+      "rows add real localhost socket time — framing, kernel buffers,\n"
+      "wakeups. The edge lists are identical by test.)\n");
 
-  // Communication volume at the paper's scale: each of the P blocks of
-  // n/P genes x m u32 ranks traverses P-1 hops, plus the edge gather.
+  // Communication volume at the paper's scale, by the same closed form.
   std::printf("\nextrapolated ring volume at 15,575 genes x 3,137 arrays:\n");
   Table extra({"cluster size", "block data", "total ring traffic"});
   for (const int p : {16, 64, 256}) {
@@ -114,20 +124,20 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nShape to compare: the distributed baseline produces the identical\n"
-      "network (test-enforced) but pays ring traffic that grows linearly\n"
-      "with cluster size — hundreds of GB at the scale prior work used —\n"
-      "plus scheduling imbalance. The paper's single-chip solution makes\n"
-      "all of it disappear; that is its whole argument.\n");
+      "network (test-enforced) but pays communication — ring traffic that\n"
+      "grows linearly with cluster size, hundreds of GB at the scale prior\n"
+      "work used — plus scheduling imbalance. The paper's single-chip\n"
+      "solution makes all of it disappear; that is its whole argument.\n");
 
-  // F6b: static vs lease balancing, with and without a straggling rank.
+  // F6b: tile leases with and without a straggling rank.
   //
-  // The static ring's weakness is that the slowest rank gates the sweep;
-  // the tile-lease protocol exists to absorb exactly that. Each cell runs
-  // the same seeded input in-process (imbalance and steals are
-  // transport-invariant), with rank 1 optionally straggled by
-  // --straggler-ms per tile through the fault decorator. tile=32 gives the
-  // ledger 36 tiles — enough granularity that 8 ranks can steal.
-  std::printf("\nelastic balancing: static ring vs tile leases "
+  // A static assignment lets the slowest rank gate the sweep; the lease
+  // protocol absorbs that by moving tiles off it. Each cell runs the same
+  // seeded input in-process (imbalance and steals are transport-invariant),
+  // with rank 1 optionally straggled by --straggler-ms per tile through the
+  // fault decorator. tile=32 gives the ledger 36 tiles — enough
+  // granularity that 8 ranks can steal.
+  std::printf("\nelastic balancing: tile leases "
               "(straggler = %.0f ms/tile on rank 1)\n", straggler_ms);
 
   TingeConfig elastic_config;
@@ -141,10 +151,7 @@ int main(int argc, char** argv) {
     std::size_t granted = 0;
   };
 
-  const auto elastic_pass = [&](int ranks, const std::string& balance,
-                                bool straggled) {
-    TingeConfig pass_config = elastic_config;
-    pass_config.cluster_balance = balance;
+  const auto elastic_pass = [&](int ranks, bool straggled) {
     cluster::FaultPlan fault;
     fault.rank = 1;
     fault.tile_delay_ms = straggled ? straggler_ms : 0.0;
@@ -155,26 +162,15 @@ int main(int argc, char** argv) {
         cluster::make_cluster(cluster::TransportKind::InProcess, ranks);
     cluster->run([&](cluster::Comm& comm) {
       const auto rank_body = [&](cluster::Comm& endpoint) {
-        if (balance == "lease") {
-          cluster::LeaseSweepReport report;
-          cluster::lease_sweep(endpoint, statistic, data.ranked(), threshold,
-                               pass_config, &report);
-          if (comm.rank() == 0) {
-            stats.pairs_per_rank = std::move(report.pairs_per_rank);
-            stats.busy_seconds_per_rank =
-                std::move(report.busy_seconds_per_rank);
-            cell.steals = report.steals;
-            cell.granted = report.leases_granted;
-          }
-          return;
-        }
-        std::vector<std::size_t> pairs;
-        std::vector<double> busy;
-        cluster::ring_sweep(endpoint, statistic, data.ranked(), threshold,
-                            pass_config, &pairs, /*cancel=*/nullptr, &busy);
+        cluster::LeaseSweepReport report;
+        cluster::lease_sweep(endpoint, statistic, data.ranked(), threshold,
+                             elastic_config, &report);
         if (comm.rank() == 0) {
-          stats.pairs_per_rank = std::move(pairs);
-          stats.busy_seconds_per_rank = std::move(busy);
+          stats.pairs_per_rank = std::move(report.pairs_per_rank);
+          stats.busy_seconds_per_rank =
+              std::move(report.busy_seconds_per_rank);
+          cell.steals = report.steals;
+          cell.granted = report.leases_granted;
         }
       };
       if (fault.tile_delay_ms > 0.0 && comm.rank() == fault.rank) {
@@ -192,30 +188,25 @@ int main(int argc, char** argv) {
   };
 
   bench::BenchJson elastic_json("elastic");
-  Table elastic_table({"ranks", "straggler", "balance", "imbalance pre",
+  Table elastic_table({"ranks", "straggler", "imbalance pre",
                        "imbalance post", "steals", "seconds"});
   for (const int ranks : {2, 4, 8}) {
     if (ranks > max_ranks) continue;
     for (const bool straggled : {false, true}) {
-      for (const std::string balance : {"static", "lease"}) {
-        const ElasticCell cell = elastic_pass(ranks, balance, straggled);
-        elastic_table.add_row(
-            {std::to_string(ranks), straggled ? "yes" : "no", balance,
-             strprintf("%.2f", cell.pre), strprintf("%.2f", cell.post),
-             std::to_string(cell.steals), strprintf("%.3f", cell.seconds)});
-        obs::Json row = obs::Json::object();
-        row["ranks"] = obs::Json(static_cast<double>(ranks));
-        row["straggler_ms"] =
-            obs::Json(straggled ? straggler_ms : 0.0);
-        row["balance"] = obs::Json(balance);
-        row["imbalance_pre"] = obs::Json(cell.pre);
-        row["imbalance_post"] = obs::Json(cell.post);
-        row["steals"] = obs::Json(static_cast<double>(cell.steals));
-        row["leases_granted"] =
-            obs::Json(static_cast<double>(cell.granted));
-        row["seconds"] = obs::Json(cell.seconds);
-        elastic_json.add_row(std::move(row));
-      }
+      const ElasticCell cell = elastic_pass(ranks, straggled);
+      elastic_table.add_row(
+          {std::to_string(ranks), straggled ? "yes" : "no",
+           strprintf("%.2f", cell.pre), strprintf("%.2f", cell.post),
+           std::to_string(cell.steals), strprintf("%.3f", cell.seconds)});
+      obs::Json row = obs::Json::object();
+      row["ranks"] = obs::Json(static_cast<double>(ranks));
+      row["straggler_ms"] = obs::Json(straggled ? straggler_ms : 0.0);
+      row["imbalance_pre"] = obs::Json(cell.pre);
+      row["imbalance_post"] = obs::Json(cell.post);
+      row["steals"] = obs::Json(static_cast<double>(cell.steals));
+      row["leases_granted"] = obs::Json(static_cast<double>(cell.granted));
+      row["seconds"] = obs::Json(cell.seconds);
+      elastic_json.add_row(std::move(row));
     }
   }
   elastic_table.print();
@@ -223,9 +214,9 @@ int main(int argc, char** argv) {
   std::printf(
       "(imbalance pre is the predicted wall imbalance of a static split of\n"
       "this rank mix — max/min per-rank compute rate; imbalance post is the\n"
-      "realized max/min busy seconds. Without a straggler the two schemes\n"
-      "tie; with one, the static rows inherit the full rate skew while the\n"
-      "lease rows absorb it by moving tiles — the steals column — off the\n"
-      "slow rank. Machine-readable copy: %s)\n", elastic_path.c_str());
+      "realized max/min busy seconds. With a straggler, pre carries its\n"
+      "full rate skew while the leases move tiles — the steals column —\n"
+      "off the slow rank. Machine-readable copy: %s)\n",
+      elastic_path.c_str());
   return 0;
 }

@@ -78,10 +78,6 @@ inline void add_pipeline_options(ArgParser& args) {
   args.add("dpi-tolerance", "DPI tolerance (with --dpi)",
            strprintf("%g", defaults.dpi_tolerance));
   args.add("checkpoint", "journal completed tiles here; resumes if present");
-  args.add("balance",
-           "cluster tile assignment: static (ring block-pair rule) or lease "
-           "(rank-0 tile leases with work stealing)",
-           defaults.cluster_balance);
   args.add_flag("dpi", "apply DPI indirect-edge filtering");
 }
 
@@ -151,7 +147,6 @@ inline TingeConfig config_from_args(const ArgParser& args) {
   config.apply_dpi = args.get_flag("dpi");
   config.dpi_tolerance = args.get_double("dpi-tolerance");
   if (args.has("checkpoint")) config.checkpoint_path = args.get("checkpoint");
-  config.cluster_balance = args.get("balance");
   config.filter.min_variance = args.get_double("min-variance");
   config.filter.max_missing_fraction = args.get_double("max-missing");
   return config;

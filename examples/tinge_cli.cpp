@@ -8,9 +8,9 @@
 // constructs the mutual-information network with permutation-test
 // thresholding, and writes a weighted edge list (and optionally SIF).
 //
-// With --cluster=N the pipeline runs sharded over N ranks using the
-// TINGe-classic ring sweep: --transport=inproc executes the ranks as
-// threads in this process, --transport=tcp spawns N tinge_worker
+// With --cluster=N the pipeline runs sharded over N ranks with rank-0
+// tile leases (cluster/lease_mi.h): --transport=inproc executes the ranks
+// as threads in this process, --transport=tcp spawns N tinge_worker
 // processes that rendezvous over localhost sockets. Both produce the
 // same network as the single-process engine for the same inputs.
 #include <cstdio>
@@ -28,10 +28,11 @@
 namespace {
 
 /// Sharded run over in-process rank-threads: same process, simulated
-/// network, identical result.
+/// network, identical result. `fault` is the parsed --fault plan.
 int run_cluster_inproc(const tinge::ArgParser& args,
                        const tinge::TingeConfig& config,
-                       const tinge::ExpressionMatrix& expression) {
+                       const tinge::ExpressionMatrix& expression,
+                       tinge::cluster::FaultPlan fault) {
   using namespace tinge;
   cluster::TransportOptions options;
   options.recv_timeout_seconds = args.get_double("recv-timeout");
@@ -39,12 +40,7 @@ int run_cluster_inproc(const tinge::ArgParser& args,
                                              config.cluster_ranks, options);
   // Fault injection on the in-process backend always throws (mode=exit
   // would _exit the whole process, ranks and caller alike).
-  cluster::FaultPlan fault;
-  if (args.has("fault")) {
-    fault = cluster::parse_fault_plan(args.get("fault"));
-    fault.kill_mode = cluster::KillMode::Throw;
-    cluster::resolve_kill_fraction(fault, config.cluster_ranks);
-  }
+  fault.kill_mode = cluster::KillMode::Throw;
   cluster::ShardedBuildResult result;
   bool have_result = false;
   try {
@@ -60,13 +56,12 @@ int run_cluster_inproc(const tinge::ArgParser& args,
       }
     });
   } catch (const std::runtime_error&) {
-    // Under lease balancing a worker's injected death is survivable: rank 0
-    // reclaims its leases, finishes the sweep and carries the result out.
-    // Cluster::run still rethrows the victim's InjectedFault (or a peer's
-    // PeerFailureError) after every rank thread has joined — swallow it
-    // when rank 0 delivered. A dead rank 0 (no result) stays fatal, and
-    // static mode keeps its fail-stop semantics either way.
-    if (config.cluster_balance != "lease" || !have_result) throw;
+    // A worker's injected death is survivable: rank 0 reclaims its leases,
+    // finishes the sweep and carries the result out. Cluster::run still
+    // rethrows the victim's InjectedFault (or a peer's PeerFailureError)
+    // after every rank thread has joined — swallow it when rank 0
+    // delivered. A dead rank 0 (no result) stays fatal.
+    if (!have_result) throw;
   }
 
   cli::write_network_outputs(args, result.network, result.null);
@@ -198,7 +193,7 @@ int main(int argc, char** argv) {
            "300");
   args.add("fault",
            "cluster runs: fault-injection plan, e.g. "
-           "rank=1,kill-at=0.5,mode=exit (testing only)");
+           "rank=1,kill-after=5,mode=exit (testing only)");
   args.add("metrics-out", "write a JSON run manifest (stages, metrics) here");
   args.add_flag("trace", "print the per-stage trace tree to stderr");
   args.add_flag("describe", "print a dataset summary and exit (no inference)");
@@ -206,8 +201,12 @@ int main(int argc, char** argv) {
   args.add_flag("quiet", "suppress progress output");
   args.add_flag("help", "show this help");
 
+  // A malformed --fault is a flag error too: it fails here, before any
+  // data is loaded or worker spawned.
+  cluster::FaultPlan fault;
   try {
     args.parse(argc, argv);
+    if (args.has("fault")) fault = cluster::parse_fault_plan(args.get("fault"));
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 2;
@@ -261,7 +260,7 @@ int main(int argc, char** argv) {
     }
 
     if (config.cluster_ranks > 0)
-      return run_cluster_inproc(args, config, expression);
+      return run_cluster_inproc(args, config, expression, fault);
 
     NetworkBuilder builder(config);
     if (!args.get_flag("quiet")) {

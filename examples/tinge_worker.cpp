@@ -120,9 +120,8 @@ int main(int argc, char** argv) {
     std::unique_ptr<cluster::FaultyTransport> faulty;
     cluster::Transport* endpoint = transport.get();
     if (args.has("fault")) {
-      cluster::FaultPlan plan = cluster::parse_fault_plan(args.get("fault"));
-      cluster::resolve_kill_fraction(plan, size);
-      faulty = std::make_unique<cluster::FaultyTransport>(*transport, plan);
+      faulty = std::make_unique<cluster::FaultyTransport>(
+          *transport, cluster::parse_fault_plan(args.get("fault")));
       endpoint = faulty.get();
     }
     cluster::Comm comm(*endpoint);

@@ -80,13 +80,6 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       plan.drop_after = parse_count(key, value);
     } else if (key == "kill-after") {
       plan.kill_after = parse_count(key, value);
-    } else if (key == "kill-at") {
-      plan.kill_at_fraction = parse_real(key, value);
-      if (plan.kill_at_fraction < 0.0 || plan.kill_at_fraction > 1.0)
-        throw std::invalid_argument(
-            strprintf("fault plan: kill-at wants a fraction in [0, 1], got "
-                      "'%s'",
-                      value.c_str()));
     } else if (key == "mode") {
       if (value == "throw")
         plan.kill_mode = KillMode::Throw;
@@ -103,23 +96,11 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       throw std::invalid_argument(
           strprintf("fault plan: unknown key '%s' (expected rank, delay-ms, "
                     "jitter-ms, tile-delay-ms, drop-after, kill-after, "
-                    "kill-at, mode, exit-code, seed)",
+                    "mode, exit-code, seed)",
                     key.c_str()));
     }
   }
   return plan;
-}
-
-void resolve_kill_fraction(FaultPlan& plan, int cluster_size) {
-  if (plan.kill_at_fraction < 0.0 || plan.kill_after >= 0) return;
-  // Expected per-rank data ops of the sharded ring pipeline: ~2 broadcast
-  // recvs (weight table, threshold), 2 ops per ring step over P-1 steps,
-  // and ~2 gather ops at the end. The point is landing mid-sweep, not
-  // op-exact placement.
-  const long long expected = 2 + 2ll * (cluster_size - 1) + 2;
-  plan.kill_after = static_cast<long long>(plan.kill_at_fraction *
-                                           static_cast<double>(expected));
-  if (plan.kill_after < 1) plan.kill_after = 1;
 }
 
 FaultyTransport::FaultyTransport(Transport& inner, const FaultPlan& plan)

@@ -17,11 +17,9 @@
 //     see PeerFailureError through the closed connection.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "cluster/transport.h"
 
@@ -53,10 +51,10 @@ struct FaultPlan {
   /// drawn uniformly from [0, jitter_ms) using `seed`.
   double delay_ms = 0.0;
   double jitter_ms = 0.0;
-  /// Per-tile *compute* sleep on the armed rank: the straggler fault. The
-  /// transport cannot slow computation by delaying messages (the ring
-  /// couples wall time across ranks), so the sweeps query this through
-  /// tile_delay_ms() and sleep inside tile compute instead.
+  /// Per-tile *compute* sleep on the armed rank: the straggler fault.
+  /// Delaying messages would slow the rank's traffic, not its compute, so
+  /// the lease sweep queries this through straggle_delay_ms() and sleeps
+  /// inside tile compute instead.
   double tile_delay_ms = 0.0;
   /// After this many sends, further sends are silently swallowed (the
   /// classic lost-message fault; peers block until their recv deadline).
@@ -65,10 +63,6 @@ struct FaultPlan {
   /// Kill (per kill_mode) when the data-op count reaches this value.
   /// < 0 disables.
   long long kill_after = -1;
-  /// Alternative to kill_after: kill this far through the expected op
-  /// count of a sharded ring run — resolve with resolve_kill_fraction()
-  /// once the cluster size is known. < 0 disables.
-  double kill_at_fraction = -1.0;
   KillMode kill_mode = KillMode::Throw;
   /// Exit status for KillMode::Exit. Distinct from the worker's real exit
   /// codes so the launcher report shows the kill was the injected one.
@@ -79,19 +73,11 @@ struct FaultPlan {
 /// Parses a comma-separated spec like
 ///   "rank=1,kill-after=4,mode=exit"
 ///   "rank=2,delay-ms=5,jitter-ms=3,seed=99"
-///   "rank=1,kill-at=0.5,mode=throw"
 ///   "rank=1,tile-delay-ms=20"
 /// Keys: rank, delay-ms, jitter-ms, tile-delay-ms, drop-after, kill-after,
-/// kill-at, mode (throw|exit), exit-code, seed. Throws
-/// std::invalid_argument on an unknown key or malformed value so CLI typos
-/// fail loudly.
+/// mode (throw|exit), exit-code, seed. Throws std::invalid_argument on an
+/// unknown key or malformed value so CLI typos fail loudly.
 FaultPlan parse_fault_plan(const std::string& spec);
-
-/// Resolves plan.kill_at_fraction into plan.kill_after using the expected
-/// per-rank data-op count of the sharded ring pipeline at `cluster_size`
-/// ranks (broadcast prologue + 2(P-1) ring ops + edge gather). No-op when
-/// kill_at_fraction < 0 or kill_after is already set.
-void resolve_kill_fraction(FaultPlan& plan, int cluster_size);
 
 /// The decorator: forwards everything to `inner`, injecting the plan's
 /// faults on the way. Non-owning — `inner` must outlive it. The plan is
@@ -118,8 +104,9 @@ class FaultyTransport final : public Transport {
   /// True when the plan applies to this endpoint's rank.
   bool armed() const { return armed_; }
   /// The per-tile compute sleep this endpoint should suffer (0 when the
-  /// plan targets a different rank). Sweeps dynamic_cast the transport to
-  /// find this — the straggler fault lives in compute, not messaging.
+  /// plan targets a different rank). The lease sweep dynamic_casts the
+  /// transport to find this — the straggler fault lives in compute, not
+  /// messaging.
   double tile_delay_ms() const { return armed_ ? plan_.tile_delay_ms : 0.0; }
   /// Data ops observed so far (sends + recvs), fault-armed or not.
   long long ops() const { return ops_; }
@@ -139,34 +126,8 @@ class FaultyTransport final : public Transport {
 
 /// The per-tile compute straggle the fault plan imposes on this endpoint:
 /// the plan's tile_delay_ms when `transport` is a FaultyTransport armed on
-/// its rank, 0 otherwise. How the sweeps locate the straggler fault
+/// its rank, 0 otherwise. How the lease sweep locates the straggler fault
 /// without depending on the decorator being present.
 double straggle_delay_ms(const Transport& transport);
-
-/// Sink decorator that sleeps before every tile — the compute-side
-/// straggler fault. Wraps any sweep sink; inert at delay 0.
-template <typename Inner>
-class StraggleSink {
- public:
-  StraggleSink(Inner& inner, double delay_ms)
-      : inner_(&inner), delay_ms_(delay_ms) {}
-
-  void tile_begin(int tid, std::size_t t) {
-    if (delay_ms_ > 0.0)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms_));
-    inner_->tile_begin(tid, t);
-  }
-  void pair(int tid, std::size_t i, std::size_t j, double mi) {
-    inner_->pair(tid, i, j, mi);
-  }
-  void tile_end(int tid, std::size_t t, int team_width) {
-    inner_->tile_end(tid, t, team_width);
-  }
-
- private:
-  Inner* inner_;
-  double delay_ms_;
-};
 
 }  // namespace tinge::cluster

@@ -9,10 +9,61 @@
 #include <utility>
 
 #include "cluster/faulty_transport.h"
-#include "cluster/ring_mi.h"
 #include "util/timer.h"
 
 namespace tinge::cluster {
+
+namespace {
+
+/// max/min over the values that pass `active` (1.0 when fewer than two do,
+/// so a run where work landed on a single rank reads "balanced" rather
+/// than dividing by an idle rank's zero).
+template <typename T, typename Pred>
+double active_spread(const std::vector<T>& values, Pred active) {
+  double lo = 0.0;
+  double hi = 0.0;
+  int count = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!active(i)) continue;
+    const double v = static_cast<double>(values[i]);
+    if (count == 0 || v < lo) lo = v;
+    if (count == 0 || v > hi) hi = v;
+    ++count;
+  }
+  if (count < 2 || lo <= 0.0) return 1.0;
+  return hi / lo;
+}
+
+}  // namespace
+
+double ClusterStats::imbalance() const {
+  return active_spread(pairs_per_rank,
+                       [&](std::size_t i) { return pairs_per_rank[i] > 0; });
+}
+
+double ClusterStats::imbalance_pre() const {
+  // Per-rank compute rate: pairs per busy second, over ranks that did both.
+  std::vector<double> rate(pairs_per_rank.size(), 0.0);
+  for (std::size_t i = 0;
+       i < pairs_per_rank.size() && i < busy_seconds_per_rank.size(); ++i)
+    if (pairs_per_rank[i] > 0 && busy_seconds_per_rank[i] > 0.0)
+      rate[i] = static_cast<double>(pairs_per_rank[i]) /
+                busy_seconds_per_rank[i];
+  return active_spread(rate, [&](std::size_t i) { return rate[i] > 0.0; });
+}
+
+double ClusterStats::imbalance_post() const {
+  return active_spread(busy_seconds_per_rank, [&](std::size_t i) {
+    return i < pairs_per_rank.size() && pairs_per_rank[i] > 0 &&
+           busy_seconds_per_rank[i] > 0.0;
+  });
+}
+
+int block_pair_owner(int a, int b, int ranks) {
+  TINGE_EXPECTS(0 <= a && a <= b && b < ranks);
+  if (a == b) return a;
+  return (a + b) % 2 == 0 ? a : b;
+}
 
 LeaseLedger::LeaseLedger(const SweepPlan& plan,
                          const std::vector<char>* resumed) {
@@ -160,10 +211,10 @@ std::vector<Edge> compute_tile_edges(const PairStatistic& statistic,
   return sink.take_all();
 }
 
-/// The static ring rule's owner for a tile of the global plan — what the
-/// steal counter compares actual assignment against. Tiles never span the
-/// contiguous ceil(n/p) block boundaries' pair regions ambiguously for
-/// this purpose: the owning blocks are read off the tile's first row/col.
+/// TINGe-classic's owner for a tile of the global plan — what the steal
+/// counter compares actual assignment against. Genes split into contiguous
+/// ceil(n/p) blocks; a tile straddling a block boundary is read off its
+/// first row and column.
 int static_tile_owner(const Tile& tile, std::size_t n_genes, int ranks) {
   const std::size_t per =
       (n_genes + static_cast<std::size_t>(ranks) - 1) /
@@ -423,6 +474,50 @@ GeneNetwork lease_sweep(Comm& comm, const PairStatistic& statistic,
                    : lease_worker(comm, statistic, row, ranked, plan, panels,
                                   threshold, straggle_ms, cancel);
       });
+}
+
+GeneNetwork cluster_compute_network(const PairStatistic& statistic,
+                                    const RankedMatrix& ranked,
+                                    double threshold, int ranks,
+                                    const TingeConfig& config,
+                                    ClusterStats* stats, TransportKind kind,
+                                    const TransportOptions& options) {
+  TINGE_EXPECTS(ranks >= 1);
+  const Stopwatch watch;
+
+  const std::unique_ptr<Cluster> cluster = make_cluster(kind, ranks, options);
+  GeneNetwork network(ranked.gene_names());
+  LeaseSweepReport report;
+  cluster->run([&](Comm& comm) {
+    LeaseSweepReport local;
+    GeneNetwork merged =
+        lease_sweep(comm, statistic, ranked, threshold, config, &local);
+    if (comm.rank() == 0) {  // only rank 0 touches the shared result
+      network = std::move(merged);
+      report = std::move(local);
+    }
+  });
+
+  if (stats != nullptr) {
+    stats->ranks = ranks;
+    stats->transport = transport_kind_name(kind);
+    stats->bytes_transferred = cluster->bytes_transferred();
+    stats->messages = cluster->messages_sent();
+    stats->bytes_per_rank.clear();
+    for (const PeerTraffic& rank : cluster->rank_traffic())
+      stats->bytes_per_rank.push_back(rank.bytes_sent);
+    stats->pairs_total = 0;
+    for (const std::size_t count : report.pairs_per_rank)
+      stats->pairs_total += count;
+    stats->pairs_per_rank = std::move(report.pairs_per_rank);
+    stats->busy_seconds_per_rank = std::move(report.busy_seconds_per_rank);
+    stats->seconds = watch.seconds();
+    stats->leases_granted = report.leases_granted;
+    stats->steals = report.steals;
+    stats->tiles_reclaimed = report.tiles_reclaimed;
+    stats->dead_ranks = std::move(report.dead_ranks);
+  }
+  return network;
 }
 
 }  // namespace tinge::cluster

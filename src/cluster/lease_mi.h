@@ -1,11 +1,13 @@
-// Elastic distributed all-pairs MI: rank-0 tile leases with work stealing.
+// Distributed all-pairs MI — the cluster baseline the paper's single-chip
+// solution replaces — as rank-0 tile leases with work stealing.
 //
-// The TINGe-classic ring (ring_mi.h) assigns block pairs statically, so the
-// slowest rank gates every sweep and a checkpoint binds to the world size
-// that wrote it. The lease protocol fixes both at once by changing what is
-// distributed: not gene blocks, but tiles of the *global* single-process
-// sweep plan (SweepPlan::triangular(0, n, tile_size) — the exact tile index
-// space the engine's checkpoint journal uses).
+// TINGe-classic (Zola et al.) splits the genes into P blocks and assigns
+// every block pair to one rank by a static rule (block_pair_owner below),
+// circulating the blocks around a ring; the slowest rank then gates every
+// sweep, and a checkpoint would bind to the world size that wrote it. The
+// lease protocol distributes not gene blocks but tiles of the *global*
+// single-process sweep plan (SweepPlan::triangular(0, n, tile_size) — the
+// exact tile index space the engine's checkpoint journal uses):
 //
 //   * Every rank holds the full ranked matrix (it is loaded and ranked
 //     locally anyway), so any rank can compute any tile.
@@ -21,15 +23,20 @@
 //     pairs and busy seconds.
 //
 // Because the tile index space is the single-process engine's, the journal
-// is partition-independent: a checkpoint written by a 4-rank lease run (or
-// by the p == 1 engine) seeds the ledger of a 2- or 8-rank resume, and the
-// merged network is byte-identical to the single-process one in all cases
+// is partition-independent: a checkpoint written by a 4-rank run (or by the
+// p == 1 engine) seeds the ledger of a 2- or 8-rank resume, and the merged
+// network is byte-identical to the single-process one in all cases
 // (GeneNetwork::finalize sorts, so assignment order cannot show).
+//
+// The sweep is written against the rank-handle Comm facade only, so it
+// runs unchanged over the in-process rank-thread backend and over real TCP
+// worker processes (see transport.h / launcher.h).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "cluster/transport.h"
@@ -41,8 +48,7 @@
 
 namespace tinge::cluster {
 
-// Lease protocol tags, above the ring (1..p, 10000/10001) and the sharded
-// collectives (20000..20004).
+// Lease protocol tags, above the sharded collectives (20000..20004).
 constexpr int kTagLeaseRequest = 30000;  ///< worker -> 0, empty payload
 constexpr int kTagLeaseGrant = 30001;    ///< 0 -> worker, u64 tile indices
 constexpr int kTagTileDone = 30002;      ///< worker -> 0, packed TileDone
@@ -119,8 +125,8 @@ struct LeaseSweepReport {
   /// included — that is the point: the straggler's tiles cost more).
   std::vector<double> busy_seconds_per_rank;
   std::size_t leases_granted = 0;
-  /// Tiles computed by a rank other than the static ring rule's owner —
-  /// the work the protocol actually moved.
+  /// Tiles computed by a rank other than their block_pair_owner — the
+  /// work the protocol moved off TINGe-classic's static assignment.
   std::size_t steals = 0;
   std::size_t tiles_reclaimed = 0;
   std::size_t tiles_total = 0;
@@ -139,11 +145,60 @@ struct LeaseSweepReport {
 /// open_sweep_journal, as the engine's checkpointed pass does, so an
 /// existing matching journal seeds the ledger (resume on ANY world size);
 /// completed tiles are journaled and the journal is removed on success.
-/// `cancel` is polled between tiles on every rank.
+/// `cancel`, when non-null, is polled between tiles on every rank; a
+/// tripped flag aborts the rank with SweepAborted (see core/sweep.h).
 GeneNetwork lease_sweep(Comm& comm, const PairStatistic& statistic,
                         const RankedMatrix& ranked, double threshold,
                         const TingeConfig& config,
                         LeaseSweepReport* report = nullptr,
                         const std::atomic<bool>* cancel = nullptr);
+
+/// What a distributed sweep cost, as rank 0 saw it.
+struct ClusterStats {
+  int ranks = 0;
+  std::string transport = "inproc";
+  std::uint64_t bytes_transferred = 0;  ///< payload bytes, all ranks
+  std::uint64_t messages = 0;
+  std::vector<std::uint64_t> bytes_per_rank;  ///< payload bytes sent, by rank
+  std::vector<std::size_t> pairs_per_rank;
+  /// Wall seconds each rank spent inside tile compute (straggle included).
+  std::vector<double> busy_seconds_per_rank;
+  std::size_t pairs_total = 0;
+  double seconds = 0.0;
+  std::size_t leases_granted = 0;
+  std::size_t steals = 0;  ///< tiles computed off their block_pair_owner
+  std::size_t tiles_reclaimed = 0;
+  std::vector<int> dead_ranks;
+
+  /// max/min computed pairs across ranks that computed any (1.0 = perfectly
+  /// balanced; 1.0 when fewer than two ranks computed pairs).
+  double imbalance() const;
+  /// Predicted wall imbalance of a *static* split: max/min per-rank compute
+  /// rate (pairs per busy second) across active ranks. A 5x straggler shows
+  /// up here whether or not the balancer hid it.
+  double imbalance_pre() const;
+  /// Actual wall imbalance: max/min per-rank busy seconds across active
+  /// ranks — what the stealing left.
+  double imbalance_post() const;
+};
+
+/// Runs lease_sweep on `ranks` ranks over the chosen backend and returns
+/// the merged thresholded network (identical, up to edge order, to
+/// MiEngine::compute_network on the same inputs — test-enforced, for both
+/// backends). `config` supplies the kernel choice, tile size and journal;
+/// threading inside a rank is not used (one thread per rank, as in the
+/// classic flat-MPI TINGe).
+GeneNetwork cluster_compute_network(
+    const PairStatistic& statistic, const RankedMatrix& ranked,
+    double threshold, int ranks, const TingeConfig& config,
+    ClusterStats* stats = nullptr,
+    TransportKind kind = TransportKind::InProcess,
+    const TransportOptions& options = {});
+
+/// TINGe-classic's balanced block-pair rule, which `steals` is counted
+/// against: which rank owns unordered block pair {a, b} (a <= b) among
+/// `ranks` contiguous gene blocks — rank a if (a + b) is even, rank b
+/// otherwise; a diagonal pair belongs to its block's rank.
+int block_pair_owner(int a, int b, int ranks);
 
 }  // namespace tinge::cluster

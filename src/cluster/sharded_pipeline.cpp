@@ -16,8 +16,7 @@ namespace tinge::cluster {
 
 namespace {
 
-// Collective tags, far above the ring sweep's range (ring uses 1..p and
-// 10000/10001).
+// Collective tags, below the lease protocol's (30000..30002).
 constexpr int kTagTableMeta = 20000;
 constexpr int kTagTableWeights = 20001;
 constexpr int kTagTableFirstBin = 20002;
@@ -139,55 +138,44 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
 
   // Stages 4-5. A single rank IS the single-process pipeline, so it runs
   // the session's network stage (checkpointing and teamed scheduling
-  // included); p > 1 runs the sweep config.cluster_balance selects — the
-  // TINGe-classic static ring, or the elastic rank-0 tile-lease protocol
-  // (lease_mi.h), one single-threaded sweep per rank either way — and
-  // rank 0 applies DPI to the merged network.
-  const bool lease = p > 1 && config.cluster_balance == "lease";
-  std::vector<std::size_t> pairs_per_rank;
-  std::vector<double> busy_per_rank;
-  LeaseSweepReport lease_report;
+  // included); p > 1 runs the rank-0 tile-lease protocol (lease_mi.h), one
+  // single-threaded sweep per rank, and rank 0 applies DPI to the merged
+  // network. At one rank the report carries just the session's pair count.
+  LeaseSweepReport report;
   if (p == 1) {
     SessionNetwork built = session->build_network();
     result.network = std::move(built.network);
     result.dpi_stats = built.dpi;
     result.consensus = std::move(built.consensus);
-    pairs_per_rank.assign(1, config.consensus_resamples > 0
-                                 ? result.consensus.pairs_computed
-                                 : built.engine.pairs_computed);
-  } else if (lease) {
+    report.pairs_per_rank.assign(
+        1, config.consensus_resamples > 0 ? result.consensus.pairs_computed
+                                          : built.engine.pairs_computed);
+  } else {
     result.network = lease_sweep(comm, *statistic, *ranked, result.threshold,
-                                 config, &lease_report, cancel);
-    pairs_per_rank = lease_report.pairs_per_rank;
-    busy_per_rank = lease_report.busy_seconds_per_rank;
+                                 config, &report, cancel);
     if (r == 0) {
       obs::MetricsRegistry::global().counter("cluster.lease.granted")
-          .add(lease_report.leases_granted);
+          .add(report.leases_granted);
       obs::MetricsRegistry::global().counter("cluster.lease.steals")
-          .add(lease_report.steals);
+          .add(report.steals);
       obs::MetricsRegistry::global().counter("cluster.lease.reclaimed")
-          .add(lease_report.tiles_reclaimed);
+          .add(report.tiles_reclaimed);
     }
-  } else {
-    result.network = ring_sweep(comm, *statistic, *ranked, result.threshold,
-                                config, &pairs_per_rank, cancel,
-                                &busy_per_rank);
+    if (r == 0 && config.apply_dpi)
+      result.network = apply_dpi(result.network, config.dpi_tolerance,
+                                 &result.dpi_stats, *pool, config.threads);
   }
-  if (p > 1 && r == 0 && config.apply_dpi)
-    result.network = apply_dpi(result.network, config.dpi_tolerance,
-                               &result.dpi_stats, *pool, config.threads);
 
   // Traffic gather: snapshot local totals first so the gather itself is
-  // not part of the reported algorithm traffic. Under lease balancing the
-  // sweep may have outlived dead ranks, so rank 0 skips peers the lease
-  // master declared dead and treats a gather-time PeerFailureError as one
-  // more late death rather than a pipeline failure.
+  // not part of the reported algorithm traffic. The sweep may have
+  // outlived dead ranks, so rank 0 skips peers the lease master declared
+  // dead and treats a gather-time PeerFailureError as one more late death
+  // rather than a pipeline failure.
   TrafficReport own;
   own.bytes_sent = comm.transport().bytes_sent();
   own.messages_sent = comm.transport().messages_sent();
   result.cluster.ranks = p;
   result.cluster.transport = transport_kind_name(comm.transport().kind());
-  result.cluster.balance = lease ? "lease" : "static";
   result.cluster.bytes_per_rank.assign(static_cast<std::size_t>(p), 0);
   result.cluster.bytes_per_rank[static_cast<std::size_t>(r)] = own.bytes_sent;
   if (r == 0) {
@@ -195,9 +183,8 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
     result.cluster.messages = own.messages_sent;
     for (int src = 1; src < p; ++src) {
       const bool known_dead =
-          std::find(lease_report.dead_ranks.begin(),
-                    lease_report.dead_ranks.end(),
-                    src) != lease_report.dead_ranks.end();
+          std::find(report.dead_ranks.begin(), report.dead_ranks.end(),
+                    src) != report.dead_ranks.end();
       if (known_dead) continue;
       try {
         const TrafficReport peer =
@@ -207,33 +194,28 @@ ShardedBuildResult sharded_build(Comm& comm, ExpressionMatrix&& expression,
         result.cluster.bytes_transferred += peer.bytes_sent;
         result.cluster.messages += peer.messages_sent;
       } catch (const PeerFailureError&) {
-        if (!lease) throw;
-        lease_report.dead_ranks.push_back(src);
+        report.dead_ranks.push_back(src);
       }
     }
-    result.cluster.pairs_per_rank = pairs_per_rank;
-    result.cluster.busy_seconds_per_rank = busy_per_rank;
-    result.cluster.leases_granted = lease_report.leases_granted;
-    result.cluster.steals = lease_report.steals;
-    result.cluster.tiles_reclaimed = lease_report.tiles_reclaimed;
-    result.cluster.dead_ranks = lease_report.dead_ranks;
-    for (const std::size_t count : pairs_per_rank)
+    for (const std::size_t count : report.pairs_per_rank)
       result.pairs_total += count;
     result.cluster.pairs_total = result.pairs_total;
+    result.cluster.pairs_per_rank = std::move(report.pairs_per_rank);
+    result.cluster.busy_seconds_per_rank =
+        std::move(report.busy_seconds_per_rank);
+    result.cluster.leases_granted = report.leases_granted;
+    result.cluster.steals = report.steals;
+    result.cluster.tiles_reclaimed = report.tiles_reclaimed;
+    result.cluster.dead_ranks = std::move(report.dead_ranks);
   } else {
     comm.send_vector(0, std::vector<TrafficReport>{own}, kTagTraffic);
   }
 
-  // Everyone leaves together (a finished rank closing its endpoint early
-  // would look like a failure to peers still mid-recv on TCP). At one rank
-  // there is no peer to wait for and no traffic to publish. Lease mode
-  // skips the barrier: a rank that died
-  // mid-sweep would deadlock the survivors inside it, and the lease
-  // protocol's release handshake already sequenced everyone's exit.
-  if (p > 1) {
-    if (!lease) comm.barrier();
-    comm.transport().publish_metrics();
-  }
+  // No closing barrier: a rank that died mid-sweep would deadlock the
+  // survivors inside it, and the lease protocol's release handshake
+  // already sequenced everyone's exit. At one rank there is no traffic to
+  // publish.
+  if (p > 1) comm.transport().publish_metrics();
   result.seconds = watch.seconds();
   result.cluster.seconds = result.seconds;
   return result;
@@ -243,7 +225,6 @@ ClusterManifest to_cluster_manifest(const ClusterStats& stats) {
   ClusterManifest manifest;
   manifest.transport = stats.transport;
   manifest.ranks = stats.ranks;
-  manifest.balance = stats.balance;
   manifest.bytes_transferred = stats.bytes_transferred;
   manifest.messages = stats.messages;
   manifest.bytes_per_rank = stats.bytes_per_rank;

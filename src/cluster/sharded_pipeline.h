@@ -11,10 +11,8 @@
 //     reproducibility); rank 0 runs the session's stages 1-3, broadcasts
 //     the B-spline weight table (receivers reconstruct it via WeightTable's
 //     deserializing constructor) and the threshold I_alpha;
-//   * all ranks then run the sweep config.cluster_balance selects: the
-//     TINGe-classic ring (ring_mi.h) or the elastic tile lease
-//     (lease_mi.h); rank 0 merges, optionally applies DPI, and gathers
-//     per-rank traffic.
+//   * all ranks then run the tile-lease sweep (lease_mi.h); rank 0 merges,
+//     optionally applies DPI, and gathers per-rank traffic.
 #pragma once
 
 #include <atomic>
@@ -23,7 +21,7 @@
 #include <vector>
 
 #include "cluster/launcher.h"
-#include "cluster/ring_mi.h"
+#include "cluster/lease_mi.h"
 #include "core/config.h"
 #include "core/consensus.h"
 #include "core/dpi.h"
@@ -60,10 +58,11 @@ struct ShardedBuildResult {
 /// Runs this rank's share of the pipeline. Collective: every rank of
 /// `comm`'s cluster must call it with the same expression matrix and
 /// config. At comm.size() == 1 it runs a DatasetSession (honoring
-/// config.checkpoint_path and config.team_size); at p > 1 the ring or lease
-/// sweep. `cancel`, when set, is polled between tiles of a p > 1 sweep,
-/// which throws SweepAborted once it trips: how a worker that caught
-/// SIGTERM abandons a doomed multi-minute sweep.
+/// config.checkpoint_path and config.team_size); at p > 1 the lease sweep,
+/// which journals on rank 0 to the same path. `cancel`, when set, is
+/// polled between tiles of a p > 1 sweep, which throws SweepAborted once
+/// it trips: how a worker that caught SIGTERM abandons a doomed
+/// multi-minute sweep.
 ShardedBuildResult sharded_build(Comm& comm,
                                  const ExpressionMatrix& expression,
                                  const TingeConfig& config,

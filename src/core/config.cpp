@@ -16,7 +16,6 @@ void TingeConfig::validate() const {
   TINGE_EXPECTS(dpi_tolerance >= 0.0 && dpi_tolerance < 1.0);
   TINGE_EXPECTS(cluster_ranks >= 0);
   TINGE_EXPECTS(cluster_transport == "inproc" || cluster_transport == "tcp");
-  TINGE_EXPECTS(cluster_balance == "static" || cluster_balance == "lease");
   TINGE_EXPECTS(consensus_min_frequency > 0.0 &&
                 consensus_min_frequency <= 1.0);
   // Consensus is an ensemble over single-process engine runs; sharding one

@@ -56,16 +56,14 @@ struct TingeConfig {
 
   // --- cluster execution ---------------------------------------------------
   /// 0 = single-process engine; >= 1 = shard the pipeline across this many
-  /// ranks with the TINGe-classic ring sweep (same edges, test-enforced).
+  /// ranks with the rank-0 tile-lease sweep (cluster/lease_mi.h): idle
+  /// ranks pull tiles from a global ledger, so a straggler does not gate
+  /// the sweep and checkpoints resume on any world size (same edges,
+  /// test-enforced).
   int cluster_ranks = 0;
   /// Transport backend for cluster runs: "inproc" (rank-threads, simulated
   /// network) or "tcp" (real framed sockets / worker processes).
   std::string cluster_transport = "inproc";
-  /// Tile assignment for cluster runs: "static" (TINGe-classic balanced
-  /// block-pair rule) or "lease" (rank-0 tile leases with work stealing —
-  /// idle ranks pull tiles from a global ledger, so a straggler no longer
-  /// gates the sweep and checkpoints resume on any world size).
-  std::string cluster_balance = "static";
 
   // --- consensus (bootstrapped ensemble; ARACNE's procedure) ---------------
   /// B > 0 runs the single-process pipeline as an ensemble: B bootstrap

@@ -51,14 +51,12 @@ obs::Json config_to_json(const TingeConfig& config) {
   json["dpi_tolerance"] = obs::Json(config.dpi_tolerance);
   json["cluster_ranks"] = obs::Json(config.cluster_ranks);
   json["cluster_transport"] = obs::Json(config.cluster_transport);
-  json["cluster_balance"] = obs::Json(config.cluster_balance);
   return json;
 }
 
 obs::Json cluster_to_json(const ClusterManifest& cluster) {
   obs::Json json = obs::Json::object();
   json["transport"] = obs::Json(cluster.transport);
-  json["balance"] = obs::Json(cluster.balance);
   json["ranks"] = obs::Json(cluster.ranks);
   json["bytes_transferred"] = obs::Json(cluster.bytes_transferred);
   json["messages"] = obs::Json(cluster.messages);

@@ -20,14 +20,13 @@
 namespace tinge {
 
 /// Bumped whenever a field is renamed or removed (additions are free).
-inline constexpr int kManifestSchemaVersion = 2;
+inline constexpr int kManifestSchemaVersion = 3;
 
 /// What a cluster (sharded) run records about its communication layer.
 /// core cannot depend on the cluster module, so the cluster pipeline maps
 /// its own stats into this struct before manifest assembly.
 struct ClusterManifest {
   std::string transport;       ///< "inproc" or "tcp"
-  std::string balance = "static";  ///< tile assignment: "static" or "lease"
   int ranks = 0;
   std::uint64_t bytes_transferred = 0;
   std::uint64_t messages = 0;
@@ -36,12 +35,10 @@ struct ClusterManifest {
   std::vector<double> busy_seconds_per_rank;
   double imbalance = 1.0;  ///< max/min computed pairs across ranks
   /// Predicted static wall imbalance (max/min per-rank compute rate) and
-  /// the actually observed one (max/min per-rank busy seconds). The
-  /// elastic-balancing CI gate compares these: lease mode must deliver
-  /// imbalance_post < imbalance_pre under an injected straggler.
+  /// the actually observed one (max/min per-rank busy seconds).
   double imbalance_pre = 1.0;
   double imbalance_post = 1.0;
-  // Lease-mode accounting (zero under static balancing).
+  // Tile-lease accounting.
   std::uint64_t leases_granted = 0;
   std::uint64_t steals = 0;
   std::uint64_t tiles_reclaimed = 0;

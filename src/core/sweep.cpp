@@ -18,16 +18,6 @@ SweepPlan SweepPlan::triangular(std::size_t gene_begin, std::size_t gene_end,
   return plan;
 }
 
-SweepPlan SweepPlan::rectangular(std::size_t row_begin, std::size_t row_end,
-                                 std::size_t col_begin, std::size_t col_end,
-                                 std::size_t tile_size) {
-  SweepPlan plan;
-  append_rectangle_tiles(row_begin, row_end, col_begin, col_end, tile_size,
-                         plan.tiles_);
-  for (const Tile& tile : plan.tiles_) plan.total_pairs_ += tile.pair_count();
-  return plan;
-}
-
 SweepPlan SweepPlan::from_tiles(std::vector<Tile> tiles) {
   SweepPlan plan;
   plan.tiles_ = std::move(tiles);

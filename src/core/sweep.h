@@ -1,15 +1,14 @@
 // The unified pair-sweep executor (DESIGN.md §6d).
 //
 // Every all-pairs sweep in the system — the engine's plain, checkpointed,
-// teamed and dense passes and the cluster ring/lease sweeps' local +
-// received-block computations — is the same algorithm: walk a set of tiles,
+// teamed and dense passes, the cluster lease sweep's leased tiles and the
+// serve planner's tile batches — is the same algorithm: walk a set of tiles,
 // sweep each tile's rows as row-reuse panels through a pair statistic, hand
 // each pair's score to a consumer. run_sweep() is that algorithm written
 // once, parameterized by four orthogonal policies:
 //
-//   * a TILE PLAN (SweepPlan): which tiles — the upper triangle of a gene
-//     range (single-chip engine, ring diagonal blocks) or a rectangle
-//     (ring cross-block steps);
+//   * a TILE PLAN (SweepPlan): which tiles — the upper triangle of the
+//     gene range, or an explicit list of its tiles (the serve planner);
 //   * a PAIR STATISTIC (core/pair_statistic.h): what is computed per pair —
 //     B-spline MI through the SIMD panel kernels (the paper's path), or any
 //     other estimator through the generic pair-loop fallback;
@@ -70,12 +69,6 @@ class SweepPlan {
   static SweepPlan triangular(std::size_t gene_begin, std::size_t gene_end,
                               std::size_t tile_size);
 
-  /// Full [row_begin, row_end) x [col_begin, col_end) rectangle; the row
-  /// range must sit entirely below the column range (ring cross blocks).
-  static SweepPlan rectangular(std::size_t row_begin, std::size_t row_end,
-                               std::size_t col_begin, std::size_t col_end,
-                               std::size_t tile_size);
-
   /// An explicit tile list, in the given order. The query planner uses
   /// this to sweep just the tiles a pair batch touches — each tile carved
   /// with the same boundaries triangular() would produce, so the per-pair
@@ -110,24 +103,18 @@ PanelPlan plan_panels(const BsplineMi& estimator, const TingeConfig& config);
 
 // --- rank rows --------------------------------------------------------------
 
-/// Whether a pass sweeps uint16 staged rank rows: config.stage_ranks and
-/// every rank fits uint16 (m <= 65536). The engine, the lease sweep and
-/// the ring (which narrows each received block) all ask this one question.
-inline bool stages_rank_rows(const TingeConfig& config,
-                             std::size_t n_samples) {
-  return config.stage_ranks && StagedRankMatrix::can_stage(n_samples);
-}
-
 /// Returns sweep(row), where row(g) is gene g's uint16 staged row when
-/// stages_rank_rows(config, m) and its uint32 row otherwise (both select
-/// the same weight-table rows). The staged copy lives for this call; each
-/// of `threads` pool contexts narrows one contiguous block of gene rows,
-/// so a sweep context first touches its pages (the caller narrows them
-/// all when `pool` is null or threads <= 1).
+/// config.stage_ranks and every rank fits uint16 (m <= 65536), and its
+/// uint32 row otherwise (both select the same weight-table rows). The
+/// engine's passes and the lease sweep all decide the width here. The
+/// staged copy lives for this call; each of `threads` pool contexts
+/// narrows one contiguous block of gene rows, so a sweep context first
+/// touches its pages (the caller narrows them all when `pool` is null or
+/// threads <= 1).
 template <typename Sweep>
 auto with_rank_rows(const RankedMatrix& ranks, const TingeConfig& config,
                     par::ThreadPool* pool, int threads, Sweep&& sweep) {
-  if (!stages_rank_rows(config, ranks.n_samples())) {
+  if (!config.stage_ranks || !StagedRankMatrix::can_stage(ranks.n_samples())) {
     const auto row = [&ranks](std::size_t g) { return ranks.ranks(g).data(); };
     return sweep(row);
   }
@@ -148,9 +135,10 @@ auto with_rank_rows(const RankedMatrix& ranks, const TingeConfig& config,
 
 // --- scheduler --------------------------------------------------------------
 
-/// Thrown by run_sweep when SweepOptions::cancel flips mid-pass. Tiles
-/// journaled before the abort stay valid — a checkpointed pass resumes
-/// from them — so cancellation loses at most the tiles in flight.
+/// Thrown by the lease sweep (cluster/lease_mi.h) when its cancel flag
+/// flips mid-pass. Tiles journaled before the abort stay valid — a
+/// checkpointed pass resumes from them — so cancellation loses at most the
+/// tiles in flight.
 class SweepAborted : public std::runtime_error {
  public:
   SweepAborted()
@@ -160,7 +148,7 @@ class SweepAborted : public std::runtime_error {
 /// How run_sweep distributes tiles over contexts.
 struct SweepOptions {
   /// Pool contexts participating. 1 runs inline on the caller (the pool may
-  /// then be null — the ring sweep has one thread per rank and no pool).
+  /// then be null).
   int threads = 1;
   par::Schedule schedule = par::Schedule::Dynamic;
   /// 1 = flat dynamic claiming (one tile per thread). > 1 = teamed: each
@@ -171,11 +159,6 @@ struct SweepOptions {
   /// Optional resume filter, one entry per plan tile; non-zero entries are
   /// skipped (already journaled by a previous attempt).
   const std::vector<char>* skip = nullptr;
-  /// Optional cancellation flag, polled between tiles: once it reads true
-  /// the pass stops claiming tiles and throws SweepAborted. How a worker
-  /// that learned of a peer failure (or caught SIGTERM) abandons a doomed
-  /// multi-minute sweep instead of computing to the bitter end.
-  const std::atomic<bool>* cancel = nullptr;
 };
 
 /// Per-context tally of one pass. Plain counters on per-thread slots: the
@@ -227,8 +210,8 @@ class EdgeSink {
       network.add_edges(buffers_.local(tid));
   }
 
-  /// All surviving edges concatenated in tid order (the ring sweep keeps
-  /// one flat buffer per rank across several run_sweep calls).
+  /// All surviving edges concatenated in tid order, leaving the buffers
+  /// empty (the lease sweep ships one tile's edges at a time).
   std::vector<Edge> take_all() {
     std::vector<Edge> all;
     for (int tid = 0; tid < buffers_.size(); ++tid) {
@@ -450,9 +433,6 @@ std::vector<SweepCounters> run_sweep(const SweepPlan& plan,
       SweepCounters& local = *context.counters;
       Stopwatch tile_watch;
       for (std::size_t t = tile_begin; t < tile_end; ++t) {
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed))
-          throw SweepAborted();
         if (options.skip != nullptr && (*options.skip)[t]) continue;
         tile_watch.reset();
         sink.tile_begin(tid, t);
@@ -521,20 +501,8 @@ std::vector<SweepCounters> run_sweep(const SweepPlan& plan,
       Stopwatch tile_watch;
 
       while (true) {
-        if (member == 0) {
-          // Cancellation rides the same poisoning path as a sink error so
-          // teammates drain off their barriers instead of stranding.
-          if (options.cancel != nullptr &&
-              options.cancel->load(std::memory_order_relaxed) &&
-              !aborted.load(std::memory_order_acquire)) {
-            try {
-              throw SweepAborted();
-            } catch (...) {
-              record_error();
-            }
-          }
+        if (member == 0)
           team.tile = next_tile.fetch_add(1, std::memory_order_relaxed);
-        }
         team.barrier->arrive_and_wait();
         const std::size_t t = team.tile;
         if (t >= plan.count()) break;

@@ -23,25 +23,6 @@ void append_triangle_tiles(std::size_t gene_begin, std::size_t gene_end,
   }
 }
 
-void append_rectangle_tiles(std::size_t row_begin, std::size_t row_end,
-                            std::size_t col_begin, std::size_t col_end,
-                            std::size_t tile_size, std::vector<Tile>& out) {
-  TINGE_EXPECTS(tile_size >= 1);
-  TINGE_EXPECTS(row_begin <= row_end);
-  TINGE_EXPECTS(col_begin <= col_end);
-  TINGE_EXPECTS(row_end <= col_begin);  // every cell must be an i < j pair
-  for (std::size_t i = row_begin; i < row_end; i += tile_size) {
-    for (std::size_t j = col_begin; j < col_end; j += tile_size) {
-      Tile tile;
-      tile.row_begin = i;
-      tile.row_end = std::min(i + tile_size, row_end);
-      tile.col_begin = j;
-      tile.col_end = std::min(j + tile_size, col_end);
-      if (tile.pair_count() > 0) out.push_back(tile);
-    }
-  }
-}
-
 TileSet::TileSet(std::size_t n_genes, std::size_t tile_size)
     : n_genes_(n_genes), tile_size_(tile_size) {
   append_triangle_tiles(0, n_genes, tile_size, tiles_);

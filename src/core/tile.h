@@ -38,14 +38,6 @@ struct Tile {
 void append_triangle_tiles(std::size_t gene_begin, std::size_t gene_end,
                            std::size_t tile_size, std::vector<Tile>& out);
 
-/// Appends the T x T tiling of the full [row_begin, row_end) x
-/// [col_begin, col_end) rectangle to `out`, row-major. The two ranges must
-/// be disjoint with rows below columns, so every (i, j) cell is an i < j
-/// pair — the cross-block case of the ring sweep.
-void append_rectangle_tiles(std::size_t row_begin, std::size_t row_end,
-                            std::size_t col_begin, std::size_t col_end,
-                            std::size_t tile_size, std::vector<Tile>& out);
-
 class TileSet {
  public:
   TileSet(std::size_t n_genes, std::size_t tile_size);

@@ -50,13 +50,13 @@ endfunction()
 # Baseline: the unfaulted network this seeded input must produce.
 run_cli(${COMMON} --cluster=4 --transport=tcp --out=${WORK_DIR}/base.tsv)
 
-# Faulted run: rank 1 is killed (simulated crash, no unwinding) halfway
-# through its expected data ops. Must fail fast — the 20 s recv deadline is
+# Faulted run: rank 1 is killed (simulated crash, no unwinding) at its
+# fifth data op, mid-sweep. Must fail fast — the 20 s recv deadline is
 # the backstop, not the expected path (the launcher reaps the corpse and
 # tears the survivors down immediately) — and must fail attributably.
 execute_process(COMMAND "${TINGE_CLI}" ${COMMON} --cluster=4 --transport=tcp
                         --recv-timeout=20
-                        --fault=rank=1,kill-at=0.5,mode=exit
+                        --fault=rank=1,kill-after=5,mode=exit
                         --out=${WORK_DIR}/faulted.tsv
                         --metrics-out=${WORK_DIR}/failure.json
                 RESULT_VARIABLE fault_rc

@@ -20,6 +20,7 @@
 // parameters so a red run replays exactly.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,7 +31,6 @@
 
 #include "cluster/faulty_transport.h"
 #include "cluster/lease_mi.h"
-#include "cluster/ring_mi.h"
 #include "core/checkpoint.h"
 #include "core/mi_engine.h"
 #include "core/sweep.h"
@@ -238,7 +238,6 @@ class ElasticClusterFixture : public ::testing::Test {
     ranked_ = RankedMatrix(matrix);
     config_.threads = 1;
     config_.tile_size = 8;  // 10 tiles: enough to steal, fast to sweep
-    config_.cluster_balance = "lease";
     dir_ = std::filesystem::temp_directory_path() /
            ("tingex_elastic_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
@@ -422,6 +421,35 @@ TEST_F(ElasticClusterFixture, StragglerLosesWorkToFasterRanks) {
   std::size_t total = 0;
   for (const std::size_t p : run.report.pairs_per_rank) total += p;
   EXPECT_LE(run.report.pairs_per_rank.at(1), total / 4);
+}
+
+TEST_F(ElasticClusterFixture, PreTrippedCancelAbortsEveryRankWithoutHanging) {
+  // tinge_worker's SIGTERM handler trips this flag. Rank 0 polls it before
+  // its first grant and aborts with SweepAborted; the workers, waiting on a
+  // grant that never comes, see rank 0 leave as PeerFailureError (or abort
+  // themselves) instead of hanging.
+  constexpr int kRanks = 3;
+  const std::atomic<bool> cancel{true};
+  std::vector<std::string> outcome(kRanks, "completed");
+  const auto cluster = make_cluster(TransportKind::InProcess, kRanks);
+  cluster->run([&](Comm& comm) {
+    std::string& own = outcome[static_cast<std::size_t>(comm.rank())];
+    try {
+      lease_sweep(comm, statistic_, ranked_, kThreshold, config_, nullptr,
+                  &cancel);
+    } catch (const SweepAborted&) {
+      own = "aborted";
+    } catch (const PeerFailureError&) {
+      own = "peer failure";
+    }
+  });
+  EXPECT_EQ(outcome[0], "aborted");
+  EXPECT_EQ(cluster->rank_traffic().at(0).messages_sent, 0u)
+      << "rank 0 granted tiles before it aborted";
+  for (int r = 1; r < kRanks; ++r)
+    EXPECT_TRUE(outcome[static_cast<std::size_t>(r)] == "aborted" ||
+                outcome[static_cast<std::size_t>(r)] == "peer failure")
+        << "rank " << r << ": " << outcome[static_cast<std::size_t>(r)];
 }
 
 TEST_F(ElasticClusterFixture, ResumesOnGrownAndShrunkWorldSizes) {

@@ -36,7 +36,6 @@ TEST(FaultPlanTransportTest, DefaultsAreInert) {
   EXPECT_EQ(plan.rank, -1);
   EXPECT_EQ(plan.drop_after, -1);
   EXPECT_EQ(plan.kill_after, -1);
-  EXPECT_LT(plan.kill_at_fraction, 0.0);
   EXPECT_EQ(plan.kill_mode, KillMode::Throw);
 }
 
@@ -46,27 +45,7 @@ TEST(FaultPlanTransportTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_plan("rank=one"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("delay-ms=fast"), std::invalid_argument);
   EXPECT_THROW(parse_fault_plan("mode=segfault"), std::invalid_argument);
-  EXPECT_THROW(parse_fault_plan("kill-at=1.5"), std::invalid_argument);
-  EXPECT_THROW(parse_fault_plan("kill-at=-0.1"), std::invalid_argument);
-}
-
-TEST(FaultPlanTransportTest, KillFractionResolvesToAnOpCount) {
-  FaultPlan plan = parse_fault_plan("rank=1,kill-at=0.5");
-  EXPECT_EQ(plan.kill_after, -1);
-  resolve_kill_fraction(plan, /*cluster_size=*/4);
-  // Expected ops at P=4: 2 + 2*3 + 2 = 10; half of that is 5.
-  EXPECT_EQ(plan.kill_after, 5);
-
-  // Tiny fractions still kill at op 1, never op 0 (which would fire
-  // before any data moved).
-  FaultPlan early = parse_fault_plan("kill-at=0.0");
-  resolve_kill_fraction(early, 4);
-  EXPECT_EQ(early.kill_after, 1);
-
-  // An explicit kill-after wins over the fraction.
-  FaultPlan fixed = parse_fault_plan("kill-at=0.5,kill-after=3");
-  resolve_kill_fraction(fixed, 4);
-  EXPECT_EQ(fixed.kill_after, 3);
+  EXPECT_THROW(parse_fault_plan("rank=1,kill-at=0.5"), std::invalid_argument);
 }
 
 // ---- the decorator against a live endpoint ---------------------------------

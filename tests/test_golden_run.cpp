@@ -70,6 +70,7 @@ obs::Json* GoldenRun::manifest_ = nullptr;
 TEST_F(GoldenRun, SchemaVersionAndConfigEcho) {
   const obs::Json& manifest = *manifest_;
   EXPECT_EQ(manifest.at("schema_version").as_int(), kManifestSchemaVersion);
+  EXPECT_EQ(kManifestSchemaVersion, 3);
   EXPECT_EQ(manifest.at("tool").as_string(), "tingex");
   const obs::Json& config = manifest.at("config");
   EXPECT_EQ(config.at("bins").as_int(), 10);
@@ -82,6 +83,9 @@ TEST_F(GoldenRun, SchemaVersionAndConfigEcho) {
   EXPECT_EQ(config.at("schedule").as_string(), "dynamic");
   // Schema 2 dropped the panel-width knob: the width is resolved only.
   EXPECT_EQ(config.find("panel_width"), nullptr);
+  // Schema 3 dropped the cluster balance knob: the lease is the only
+  // distributed sweep.
+  EXPECT_EQ(config.find("cluster_balance"), nullptr);
   // The memory-side knob echoes its configured (not resolved) value.
   EXPECT_EQ(config.at("stage_ranks").as_bool(), true);
   EXPECT_EQ(config.at("seed").as_int(), 20140519);

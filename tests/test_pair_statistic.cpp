@@ -9,7 +9,7 @@
 #include <memory>
 #include <unistd.h>
 
-#include "cluster/ring_mi.h"
+#include "cluster/lease_mi.h"
 #include "core/checkpoint.h"
 #include "core/mi_engine.h"
 #include "core/null_distribution.h"

@@ -1,13 +1,13 @@
 // uint16 rank staging is claimed to be bit-identical: it changes where
 // bytes come from, never which floats are multiplied in which order. These
 // tests enforce that claim at every layer — raw panel kernels, the engine
-// and the cluster ring and lease sweeps.
+// and the cluster lease sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "cluster/ring_mi.h"
+#include "cluster/lease_mi.h"
 #include "core/mi_engine.h"
 #include "mi/bspline_mi.h"
 #include "preprocess/rank_transform.h"
@@ -179,32 +179,7 @@ TEST(EngineStaging, SamplesBeyondTheUint16RangeSweepUint32Rows) {
   }
 }
 
-// ---- cluster ring sweep: staging on/off produce identical networks ---------
-
-TEST(ClusterStaging, RingSweepMatchesWithStagingOnAndOff) {
-  const RankedMatrix ranked = random_ranked(24, 72, 31);
-  const BsplineMi estimator(10, 3, 72);
-  const BsplineStat statistic(estimator);
-
-  TingeConfig off;
-  off.stage_ranks = false;
-  TingeConfig on;
-  on.stage_ranks = true;
-
-  for (const int ranks : {2, 3}) {
-    const GeneNetwork classic = cluster::cluster_compute_network(
-        statistic, ranked, 0.2, ranks, off);
-    const GeneNetwork staged = cluster::cluster_compute_network(
-        statistic, ranked, 0.2, ranks, on);
-    ASSERT_GT(classic.n_edges(), 0u);
-    ASSERT_EQ(staged.n_edges(), classic.n_edges()) << ranks << " ranks";
-    for (std::size_t i = 0; i < classic.n_edges(); ++i) {
-      EXPECT_EQ(staged.edges()[i].u, classic.edges()[i].u);
-      EXPECT_EQ(staged.edges()[i].v, classic.edges()[i].v);
-      EXPECT_EQ(staged.edges()[i].weight, classic.edges()[i].weight);
-    }
-  }
-}
+// ---- cluster lease sweep: staging on/off match the engine -----------------
 
 TEST(ClusterStaging, LeaseSweepMatchesTheEngineWithStagingOnAndOff) {
   const RankedMatrix ranked = random_ranked(24, 72, 31);
@@ -222,7 +197,6 @@ TEST(ClusterStaging, LeaseSweepMatchesTheEngineWithStagingOnAndOff) {
 
   for (const bool stage : {false, true}) {
     TingeConfig config;
-    config.cluster_balance = "lease";
     config.tile_size = 8;  // several tiles to lease at 24 genes
     config.stage_ranks = stage;
     for (const int ranks : {2, 3}) {

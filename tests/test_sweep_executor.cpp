@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <string>
 
-#include "core/checkpoint.h"
 #include "core/mi_engine.h"
 #include "core/sweep.h"
 #include "stats/rng.h"
@@ -211,98 +209,6 @@ TEST(SweepTeamValidation, TeamSizeEqualToPoolWidthIsOneTeam) {
   for (std::size_t i = 0; i < plain.n_edges(); ++i)
     EXPECT_EQ(plain.edges()[i], one_team.edges()[i]);
   EXPECT_EQ(stats.pairs_computed, 20u * 19u / 2u);
-}
-
-// ---- cancellation -----------------------------------------------------------
-
-class SweepCancellationTest : public ::testing::Test {
- protected:
-  static constexpr std::size_t kGenes = 24;
-  static constexpr std::size_t kSamples = 64;
-
-  SweepCancellationTest() : estimator_(10, 3, kSamples) {
-    ExpressionMatrix matrix(kGenes, kSamples);
-    Xoshiro256 rng(5);
-    for (std::size_t g = 0; g < kGenes; ++g)
-      for (std::size_t s = 0; s < kSamples; ++s)
-        matrix.at(g, s) = static_cast<float>(rng.normal());
-    ranked_ = RankedMatrix(matrix);
-  }
-
-  auto row_source() const {
-    return [this](std::size_t g) { return ranked_.ranks(g).data(); };
-  }
-
-  BsplineMi estimator_;
-  BsplineStat statistic_{estimator_};
-  RankedMatrix ranked_;
-};
-
-TEST_F(SweepCancellationTest, FlatSchedulerAbortsBeforeClaimingTiles) {
-  // A pre-tripped flag must abort before any tile is computed.
-  const SweepPlan plan = SweepPlan::triangular(0, kGenes, 8);
-  const PanelPlan panels = plan_panels(estimator_, TingeConfig{});
-  const std::atomic<bool> cancel{true};
-  SweepOptions options;
-  options.cancel = &cancel;
-  EdgeSink sink(0.0, /*contexts=*/1);
-  const auto row = row_source();
-  EXPECT_THROW(
-      run_sweep(plan, statistic_, row, panels, nullptr, options, sink),
-      SweepAborted);
-}
-
-TEST_F(SweepCancellationTest, FlatSchedulerStopsMidPassAndKeepsJournal) {
-  // Trip the flag from the progress callback after 3 tiles: the pass must
-  // abort with SweepAborted, and the tiles journaled before the trip stay
-  // valid for a resume.
-  const SweepPlan plan = SweepPlan::triangular(0, kGenes, 8);
-  const PanelPlan panels = plan_panels(estimator_, TingeConfig{});
-  ASSERT_GT(plan.count(), 3u);
-  std::atomic<bool> cancel{false};
-  SweepOptions options;
-  options.cancel = &cancel;
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("tingex_cancel_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
-  const RunSignature signature{kGenes, kSamples, 8, 10, 3, 0.0};
-  {
-    CheckpointWriter writer(path, signature);
-    JournalSink::Progress progress;
-    progress.total = plan.count();
-    progress.callback = [&cancel](std::size_t done, std::size_t) {
-      if (done >= 3) cancel.store(true);
-    };
-    JournalSink sink(writer, 0.0, /*contexts=*/1, std::move(progress));
-    const auto row = row_source();
-    EXPECT_THROW(
-        run_sweep(plan, statistic_, row, panels, nullptr, options, sink),
-        SweepAborted);
-  }
-  const CheckpointState state = load_checkpoint(path);
-  EXPECT_GE(state.completed_tiles().size(), 3u);
-  EXPECT_LT(state.completed_tiles().size(), plan.count());
-  std::filesystem::remove(path);
-}
-
-TEST_F(SweepCancellationTest, TeamedSchedulerDrainsAllMembersOnAbort) {
-  // Pre-tripped flag under the teamed scheduler: the leader poisons the
-  // claim counter, every member drains off its barriers (no strand — the
-  // test completing at all is the point) and SweepAborted is rethrown.
-  const SweepPlan plan = SweepPlan::triangular(0, kGenes, 8);
-  const PanelPlan panels = plan_panels(estimator_, TingeConfig{});
-  const std::atomic<bool> cancel{true};
-  par::ThreadPool pool(4);
-  SweepOptions options;
-  options.threads = 4;
-  options.team_size = 2;
-  options.cancel = &cancel;
-  EdgeSink sink(0.0, /*contexts=*/4);
-  const auto row = row_source();
-  EXPECT_THROW(
-      run_sweep(plan, statistic_, row, panels, &pool, options, sink),
-      SweepAborted);
 }
 
 }  // namespace
