@@ -9,6 +9,9 @@
 // paper's machines next to the paper's published figure.
 //
 // Run the real thing with: bench_wholegenome --genes=15575 --samples=3137
+#include <bit>
+#include <cstdint>
+
 #include "bench_common.h"
 #include "core/network_builder.h"
 #include "device/perf_model.h"
@@ -16,6 +19,29 @@
 #include "util/args.h"
 
 using namespace tinge;
+
+namespace {
+
+/// FNV-1a (64-bit) over each edge's u, v and weight bits, little-endian,
+/// in the network's sorted edge order: pins the whole edge list in one
+/// number that two builds can compare.
+std::uint64_t edge_list_digest(const GeneNetwork& network) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint32_t word) {
+    for (int byte = 0; byte < 4; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const Edge& e : network.edges()) {
+    mix(e.u);
+    mix(e.v);
+    mix(std::bit_cast<std::uint32_t>(e.weight));
+  }
+  return hash;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args;
@@ -67,6 +93,13 @@ int main(int argc, char** argv) {
   table.add_row({"pairs computed", std::to_string(result.engine.pairs_computed)});
   table.add_row({"significant edges", std::to_string(result.network.n_edges())});
   table.add_row({"threshold I_alpha (nats)", strprintf("%.5f", result.threshold)});
+  table.add_row({"threshold bits",
+                 strprintf("0x%016llx", static_cast<unsigned long long>(
+                                            std::bit_cast<std::uint64_t>(
+                                                result.threshold)))});
+  table.add_row({"edge-list digest (FNV-1a)",
+                 strprintf("0x%016llx", static_cast<unsigned long long>(
+                                            edge_list_digest(result.network)))});
   // Stage timings read from the run's trace tree (the one timing substrate).
   const obs::SpanNode& span_root = result.trace->root();
   const double mi_pass_seconds = obs::span_seconds(span_root, "mi_sweep");
@@ -76,6 +109,10 @@ int main(int argc, char** argv) {
       {"MI throughput", bench::rate_str(static_cast<double>(
                             result.engine.pairs_computed) /
                         mi_pass_seconds) + " pairs/s"});
+  // The process's peak resident set (VmHWM) and the stage that set it.
+  table.add_row({"peak RSS (VmHWM)",
+                 strprintf("%.1f MiB", span_root.peak_rss_mb)});
+  table.add_row({"peak set in stage", obs::peak_stage(span_root).name});
   table.print();
 
   // ---- extrapolation to the paper's full problem --------------------------

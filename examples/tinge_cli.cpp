@@ -101,7 +101,7 @@ std::string shell_quote(const std::string& word) {
 }
 
 /// The command line that reruns this invocation without the injected fault:
-/// checkpointed tiles replay from the journal, the rest recompute, and the
+/// with --checkpoint its journaled tiles replay, the rest recompute, and the
 /// pipeline is deterministic, so the rerun's outputs are byte-identical to
 /// what the faulted run would have produced.
 std::string resume_command_line(int argc, const char* const* argv) {
@@ -157,9 +157,10 @@ int run_cluster_tcp(const tinge::ArgParser& args,
                    "the other ranks died of peer failure or teardown\n",
                    first->rank,
                    cluster::describe_worker_exit(*first).c_str());
-    std::fprintf(stderr,
-                 "to rerun (checkpointed tiles replay from the journal; the "
-                 "result is byte-identical):\n  %s\n",
+    std::fprintf(stderr, "to rerun (%sthe result is byte-identical):\n  %s\n",
+                 config.checkpoint_path.empty()
+                     ? ""
+                     : "checkpointed tiles replay from the journal; ",
                  resume.c_str());
     if (args.has("metrics-out"))
       cluster::write_cluster_failure_manifest(config, exits, resume,

@@ -43,8 +43,10 @@ TingeConfig with_serve_threads(TingeConfig config,
 ServeState::ServeState(ExpressionMatrix&& expression,
                        const TingeConfig& config, const ServeOptions& options)
     : pool_(pipeline_threads(with_serve_threads(config, options))),
+      // The values stay: query_engine may build a value-reading statistic
+      // (Pearson) for an estimator the daemon was not started with.
       session_(std::move(expression), with_serve_threads(config, options),
-               pool_),
+               pool_, nullptr, {}, KeepValues::Always),
       // keep_checkpoint: the completed journal stays behind, so the next
       // daemon start replays it (build_stats().tiles_resumed == tiles)
       // instead of recomputing the triangle.

@@ -33,11 +33,16 @@ int pipeline_threads(const TingeConfig& config) {
                             : par::detect_host_topology().total_threads();
 }
 
+bool reads_values(const TingeConfig& config) {
+  return config.estimator == EstimatorKind::Pearson ||
+         config.consensus_resamples > 0;
+}
+
 PreprocessedData preprocess_expression(ExpressionMatrix&& expression,
                                        const TingeConfig& config,
                                        par::ThreadPool* pool,
                                        obs::Trace* trace,
-                                       const StageLog& log) {
+                                       const StageLog& log, KeepValues keep) {
   PreprocessedData data;
   data.genes_in = expression.n_genes();
   data.working = std::move(expression);
@@ -49,7 +54,8 @@ PreprocessedData preprocess_expression(ExpressionMatrix&& expression,
   }
   {
     const OptionalSpan filter_span(trace, "filter");
-    FilterResult filtered = filter_genes(data.working, config.filter);
+    FilterResult filtered =
+        filter_genes(std::move(data.working), config.filter);
     data.genes_used = filtered.matrix.n_genes();
     dropped_low_variance = filtered.dropped_low_variance;
     dropped_missing = filtered.dropped_missing;
@@ -58,9 +64,15 @@ PreprocessedData preprocess_expression(ExpressionMatrix&& expression,
   }
   {
     const OptionalSpan rank_span(trace, "rank");
-    data.ranked = pool != nullptr
-                      ? RankedMatrix(data.working, *pool, config.threads)
-                      : RankedMatrix(data.working);
+    if (keep == KeepValues::Always || reads_values(config))
+      data.ranked = pool != nullptr
+                        ? RankedMatrix(data.working, *pool, config.threads)
+                        : RankedMatrix(data.working);
+    else
+      data.ranked =
+          pool != nullptr
+              ? RankedMatrix(std::move(data.working), *pool, config.threads)
+              : RankedMatrix(std::move(data.working));
   }
   if (log)
     log(strprintf("preprocess: %zu/%zu genes kept (%zu low-variance, "
@@ -73,11 +85,11 @@ PreprocessedData preprocess_expression(ExpressionMatrix&& expression,
 DatasetSession::DatasetSession(ExpressionMatrix&& expression,
                                const TingeConfig& config,
                                par::ThreadPool& pool, obs::Trace* trace,
-                               StageLog log)
+                               StageLog log, KeepValues keep)
     : config_(config), pool_(pool), trace_(trace), log_(std::move(log)) {
   config_.validate();
   data_ = preprocess_expression(std::move(expression), config_, &pool_,
-                                trace_, log_);
+                                trace_, log_, keep);
   const std::size_t m = data_.ranked.n_samples();
   {
     const OptionalSpan span(trace_, "weight_table");

@@ -43,8 +43,21 @@ using StageLog = std::function<void(std::string_view)>;
 /// of the host when it is 0.
 int pipeline_threads(const TingeConfig& config);
 
+/// Whether stage 1 keeps the float values once it has ranked them.
+/// IfRead keeps them only when the build reads them after ranking: the
+/// Pearson statistic and the consensus vote's column resampling. Every
+/// other build ranks in place, so the ranks take over the values'
+/// allocation. Always keeps them for a caller that may build a
+/// value-reading statistic later (the serve daemon's on-demand
+/// estimators).
+enum class KeepValues { IfRead, Always };
+
+/// True when `config`'s build reads the float values after ranking.
+bool reads_values(const TingeConfig& config);
+
 /// Stage 1's products: the imputed, filtered expression matrix (value-based
-/// statistics and consensus read it) and its rank transform.
+/// statistics and consensus read it; empty when dropped at ranking) and its
+/// rank transform.
 struct PreprocessedData {
   ExpressionMatrix working;
   RankedMatrix ranked;
@@ -53,16 +66,19 @@ struct PreprocessedData {
   std::size_t imputed_cells = 0;
 };
 
-/// Stage 1: impute -> filter -> rank transform. Ranks on `pool` when given,
-/// on the calling thread otherwise (one-thread cluster ranks). Opens the
-/// preprocess(impute, filter, rank) spans on `trace` and logs one summary
-/// line when they are set. Throws ContractViolation when fewer than two
-/// genes survive the filter.
+/// Stage 1: impute -> filter -> rank transform, each on the one matrix
+/// `expression` moved in: the filter compacts its rows in place and, unless
+/// `keep` asks for the values, the rank transform overwrites them. Ranks on
+/// `pool` when given, on the calling thread otherwise (one-thread cluster
+/// ranks). Opens the preprocess(impute, filter, rank) spans on `trace` and
+/// logs one summary line when they are set. Throws ContractViolation when
+/// fewer than two genes survive the filter.
 PreprocessedData preprocess_expression(ExpressionMatrix&& expression,
                                        const TingeConfig& config,
                                        par::ThreadPool* pool,
                                        obs::Trace* trace = nullptr,
-                                       const StageLog& log = {});
+                                       const StageLog& log = {},
+                                       KeepValues keep = KeepValues::IfRead);
 
 /// What the network stage produces.
 struct SessionNetwork {
@@ -82,11 +98,12 @@ class DatasetSession {
   /// statistic config.estimator selects, the universal null and its
   /// threshold (also published as the null.threshold gauge). With a trace
   /// and a log it opens the preprocess, weight_table, null and threshold
-  /// spans and announces each stage. `pool` (and `trace`) must outlive the
-  /// session.
+  /// spans and announces each stage. `keep` decides whether working()
+  /// still holds the values afterwards. `pool` (and `trace`) must outlive
+  /// the session.
   DatasetSession(ExpressionMatrix&& expression, const TingeConfig& config,
                  par::ThreadPool& pool, obs::Trace* trace = nullptr,
-                 StageLog log = {});
+                 StageLog log = {}, KeepValues keep = KeepValues::IfRead);
 
   // The statistic and any engine hold references into the session.
   DatasetSession(const DatasetSession&) = delete;
@@ -104,6 +121,7 @@ class DatasetSession {
                                bool keep_checkpoint = false) const;
 
   const TingeConfig& config() const { return config_; }
+  /// The preprocessed values; empty when stage 1 dropped them at ranking.
   const ExpressionMatrix& working() const { return data_.working; }
   const RankedMatrix& ranked() const { return data_.ranked; }
   const PairStatistic& statistic() const { return *statistic_; }

@@ -167,8 +167,11 @@ obs::Json make_run_manifest(const BuildResult& result,
 
   if (cluster != nullptr) manifest["cluster"] = cluster_to_json(*cluster);
 
-  if (result.trace)
-    manifest["stages"] = obs::span_to_json(result.trace->root());
+  if (result.trace) {
+    const obs::SpanNode& root = result.trace->root();
+    manifest["stages"] = obs::span_to_json(root);
+    manifest["peak_stage"] = obs::Json(obs::peak_stage(root).name);
+  }
   manifest["engine"] = engine_to_json(result.engine);
   manifest["pool"] = pool_to_json(result);
   manifest["metrics"] = obs::metrics_to_json(result.metrics);

@@ -2,7 +2,8 @@
 //
 // Serializes everything a later reader needs to understand what the run
 // did without re-running it: the configuration as requested, the kernel
-// and panel width actually resolved, the per-stage wall-time tree, the
+// and panel width actually resolved, the per-stage tree of wall time and
+// peak resident set (plus the name of the stage that set the peak), the
 // tile-scheduler outcome (tiles/pairs per pool context, panel fill),
 // thread-pool busy/idle accounting, and the run-scoped metrics delta
 // (null draws, checkpoint journal events, cluster byte/message counts).

@@ -204,10 +204,21 @@ class EdgeSink {
   }
   void tile_end(int /*tid*/, std::size_t /*t*/, int /*team_width*/) {}
 
-  /// Appends every context's surviving edges to `network` in tid order.
+  /// Moves every context's surviving edges into `network` in tid order.
+  /// A lone non-empty buffer is adopted whole; otherwise the network
+  /// reserves the total once and each buffer is freed as soon as it is
+  /// copied, so at most one context's edges ever exist twice.
   void drain_into(GeneNetwork& network) {
+    std::size_t total = 0;
+    int filled = 0;
+    for (int tid = 0; tid < buffers_.size(); ++tid) {
+      total += buffers_.local(tid).size();
+      filled += buffers_.local(tid).empty() ? 0 : 1;
+    }
+    if (filled > 1) network.reserve_edges(network.n_edges() + total);
     for (int tid = 0; tid < buffers_.size(); ++tid)
-      network.add_edges(buffers_.local(tid));
+      if (!buffers_.local(tid).empty())
+        network.add_edges(std::move(buffers_.local(tid)));
   }
 
   /// All surviving edges concatenated in tid order, leaving the buffers

@@ -1,5 +1,6 @@
 #include "data/expression_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/str.h"
@@ -14,12 +15,12 @@ std::vector<std::string> default_names(const char* prefix, std::size_t count) {
     names.push_back(strprintf("%s%05zu", prefix, i));
   return names;
 }
+}  // namespace
 
-std::size_t padded_stride(std::size_t n_samples) {
+std::size_t ExpressionMatrix::padded_stride(std::size_t n_samples) {
   const std::size_t floats_per_line = kSimdAlignment / sizeof(float);
   return round_up(n_samples == 0 ? 1 : n_samples, floats_per_line);
 }
-}  // namespace
 
 ExpressionMatrix::ExpressionMatrix(std::size_t n_genes, std::size_t n_samples)
     : ExpressionMatrix(n_genes, n_samples, default_names("g", n_genes),
@@ -36,6 +37,18 @@ ExpressionMatrix::ExpressionMatrix(std::size_t n_genes, std::size_t n_samples,
       sample_names_(std::move(sample_names)) {
   TINGE_EXPECTS(gene_names_.size() == n_genes_);
   TINGE_EXPECTS(sample_names_.size() == n_samples_);
+}
+
+ExpressionMatrix::ExpressionMatrix(std::vector<std::string> gene_names,
+                                   std::vector<std::string> sample_names,
+                                   AlignedBuffer<float> values)
+    : n_genes_(gene_names.size()),
+      n_samples_(sample_names.size()),
+      stride_(padded_stride(n_samples_)),
+      values_(std::move(values)),
+      gene_names_(std::move(gene_names)),
+      sample_names_(std::move(sample_names)) {
+  TINGE_EXPECTS(values_.size() >= n_genes_ * stride_);
 }
 
 ExpressionMatrix ExpressionMatrix::clone() const {
@@ -77,6 +90,22 @@ ExpressionMatrix ExpressionMatrix::select_genes(
     for (std::size_t s = 0; s < n_samples_; ++s) dst[s] = src[s];
   }
   return out;
+}
+
+void ExpressionMatrix::keep_genes(const std::vector<std::size_t>& keep) {
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    TINGE_EXPECTS(keep[i] < n_genes_);
+    TINGE_EXPECTS(i == 0 || keep[i - 1] < keep[i]);
+  }
+  for (std::size_t i = 0; i < keep.size(); ++i) {
+    const std::size_t g = keep[i];
+    if (g == i) continue;
+    std::copy_n(values_.data() + g * stride_, stride_,
+                values_.data() + i * stride_);
+    gene_names_[i] = std::move(gene_names_[g]);
+  }
+  n_genes_ = keep.size();
+  gene_names_.resize(n_genes_);
 }
 
 }  // namespace tinge

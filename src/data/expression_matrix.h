@@ -14,8 +14,14 @@
 
 namespace tinge {
 
+class RankedMatrix;
+
 class ExpressionMatrix {
  public:
+  /// Floats per row for `n_samples` samples: padded to the SIMD alignment
+  /// (at least one full line, even for zero samples).
+  static std::size_t padded_stride(std::size_t n_samples);
+
   ExpressionMatrix() = default;
 
   /// Zero-initialized n_genes x n_samples matrix with default names
@@ -25,6 +31,13 @@ class ExpressionMatrix {
   ExpressionMatrix(std::size_t n_genes, std::size_t n_samples,
                    std::vector<std::string> gene_names,
                    std::vector<std::string> sample_names);
+
+  /// Adopts `values` as the rows, padded_stride(sample_names.size()) floats
+  /// apart: the TSV reader parses straight into such a buffer. `values`
+  /// holds at least one row per gene; a longer tail is never read.
+  ExpressionMatrix(std::vector<std::string> gene_names,
+                   std::vector<std::string> sample_names,
+                   AlignedBuffer<float> values);
 
   ExpressionMatrix(ExpressionMatrix&&) = default;
   ExpressionMatrix& operator=(ExpressionMatrix&&) = default;
@@ -73,7 +86,15 @@ class ExpressionMatrix {
   /// New matrix containing only the genes in `keep` (order preserved).
   ExpressionMatrix select_genes(const std::vector<std::size_t>& keep) const;
 
+  /// In-place select_genes for a strictly increasing `keep`: each kept row
+  /// moves up over the dropped ones, so no second matrix is allocated.
+  void keep_genes(const std::vector<std::size_t>& keep);
+
  private:
+  // The consuming rank transform rewrites each row as uint32 ranks in
+  // place and adopts the allocation and the gene names.
+  friend class RankedMatrix;
+
   std::size_t n_genes_ = 0;
   std::size_t n_samples_ = 0;
   std::size_t stride_ = 0;  // floats per row, padded to the SIMD alignment

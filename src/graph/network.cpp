@@ -17,12 +17,27 @@ void GeneNetwork::add_edge(std::uint32_t a, std::uint32_t b, float weight) {
 }
 
 void GeneNetwork::add_edges(std::span<const Edge> edges) {
+  check_normalized(edges);
+  edges_.insert(edges_.end(), edges.begin(), edges.end());
+  finalized_ = false;
+}
+
+void GeneNetwork::add_edges(std::vector<Edge>&& edges) {
+  if (edges_.capacity() > 0) {
+    add_edges(std::span<const Edge>(edges));
+    std::vector<Edge>().swap(edges);
+    return;
+  }
+  check_normalized(edges);
+  edges_ = std::move(edges);
+  finalized_ = false;
+}
+
+void GeneNetwork::check_normalized(std::span<const Edge> edges) const {
   for (const Edge& e : edges) {
     TINGE_EXPECTS(e.u < e.v);
     TINGE_EXPECTS(e.v < n_nodes());
   }
-  edges_.insert(edges_.end(), edges.begin(), edges.end());
-  finalized_ = false;
 }
 
 void GeneNetwork::finalize() {

@@ -38,6 +38,14 @@ class GeneNetwork {
   /// Bulk append of already-normalized edges (engine output buffers).
   void add_edges(std::span<const Edge> edges);
 
+  /// The same append, consuming `edges`: a network with no edge storage
+  /// yet adopts the buffer whole; otherwise the edges are copied and the
+  /// buffer's memory is released at once.
+  void add_edges(std::vector<Edge>&& edges);
+
+  /// Reserves room for `count` edges in total.
+  void reserve_edges(std::size_t count) { edges_.reserve(count); }
+
   /// Sorts by (u, v) and merges duplicates keeping the max weight.
   /// Must be called before queries that assume sorted order.
   void finalize();
@@ -62,6 +70,8 @@ class GeneNetwork {
   GeneNetwork without_edges(std::span<const std::uint8_t> drop) const;
 
  private:
+  void check_normalized(std::span<const Edge> edges) const;
+
   std::vector<std::string> node_names_;
   std::vector<Edge> edges_;
   bool finalized_ = false;

@@ -255,10 +255,14 @@ void joint_entropy_panel_impl(const WeightTable& table, const RankT* rx,
   const std::size_t region_cells = static_cast<std::size_t>(table.bins()) * hs;
   const RowOrderMemo& order = row_order(table, rx, m, scratch);
 
-  // Every region is rewritten from zero: the reference accumulates in
-  // place, and the vector kernel stores only the expanded columns.
-  std::memset(hist, 0, width * region_cells * sizeof(float));
-  if (resolve_kernel(kernel, table.bins()) == MiKernel::Simd) {
+  // The vector kernel stores every lane of every row of a region whose
+  // stride is the table's expanded stride (always, with a scratch made for
+  // this table); anything else is rewritten from zero, since the reference
+  // accumulates in place.
+  const bool vector = resolve_kernel(kernel, table.bins()) == MiKernel::Simd;
+  if (!vector || hs != table.expanded_stride())
+    std::memset(hist, 0, width * region_cells * sizeof(float));
+  if (vector) {
 #if TINGE_VECTOR_KERNEL
     accumulate_simd(table, order, ry, width, hist, hs, region_cells);
 #endif
@@ -318,8 +322,7 @@ int auto_panel_width(const WeightTable& table) {
 }
 
 JointHistogram make_kernel_scratch(const WeightTable& table) {
-  return JointHistogram(table.bins(), /*max_vector_width=*/16,
-                        /*replicas=*/kMaxPanelWidth);
+  return JointHistogram(table.bins(), /*replicas=*/kMaxPanelWidth);
 }
 
 double joint_entropy(const WeightTable& table, const std::uint32_t* rx,

@@ -1,11 +1,11 @@
 // Per-thread joint-histogram scratch for the pair kernels.
 //
-// Rows are padded so that (a) a full SIMD register starting at any valid
-// bin column stays inside the row's allocation (kernels write up to
-// weight_stride columns past the first bin), and (b) each row starts on a
-// 64-byte boundary. With the paper's b in the 10-30 range one histogram is
-// a few KB — it lives in L1 for the whole tile, which is precisely why the
-// estimator is compute- rather than memory-bound.
+// Rows are padded to whole 16-float blocks, so each row starts on a 64-byte
+// boundary and the vector kernel's row stores (16 or 32 lanes, the weight
+// table's expanded stride) cover the row exactly. With the paper's b in the
+// 10-30 range one histogram is a few KB — it lives in L1 for the whole
+// tile, which is precisely why the estimator is compute- rather than
+// memory-bound.
 //
 // A histogram can carry `replicas` stacked copies (each bins x stride):
 // the panel kernel writes member p of a panel into region p.
@@ -41,25 +41,21 @@ struct RowOrderMemo {
 
 class JointHistogram {
  public:
-  /// Row stride (floats) a histogram of `bins` bins uses when kernels may
-  /// issue stores up to `max_vector_width` floats wide from any bin column.
-  /// Exposed so sizing policies (panel width selection) can compute a
-  /// histogram's footprint without allocating one.
-  static constexpr std::size_t stride_for(int bins, int max_vector_width = 16) {
-    return round_up(static_cast<std::size_t>(bins + max_vector_width),
+  /// Row stride (floats) of a histogram of `bins` bins: `bins` rounded up
+  /// to whole 16-float blocks. Exposed so sizing policies (panel width
+  /// selection) can compute a histogram's footprint without allocating one.
+  static constexpr std::size_t stride_for(int bins) {
+    return round_up(static_cast<std::size_t>(bins),
                     kSimdAlignment / sizeof(float));
   }
 
-  /// `max_vector_width` is the widest store a kernel may issue from a bin
-  /// column (in floats); padding guarantees such stores stay in bounds.
-  explicit JointHistogram(int bins, int max_vector_width = 16, int replicas = 1)
+  explicit JointHistogram(int bins, int replicas = 1)
       : bins_(bins),
         replicas_(replicas),
-        stride_(stride_for(bins, max_vector_width)),
+        stride_(stride_for(bins)),
         cells_(static_cast<std::size_t>(bins) * static_cast<std::size_t>(replicas) *
                stride_) {
     TINGE_EXPECTS(bins >= 1);
-    TINGE_EXPECTS(max_vector_width >= 1);
     TINGE_EXPECTS(replicas >= 1);
   }
 

@@ -11,6 +11,7 @@ Json span_to_json(const SpanNode& node) {
   Json span = Json::object();
   span["name"] = node.name;
   span["seconds"] = node.seconds;
+  span["peak_rss_mb"] = node.peak_rss_mb;
   Json children = Json::array();
   for (const auto& child : node.children)
     children.push_back(span_to_json(*child));

@@ -10,6 +10,10 @@
 // Spans are opened and closed on the trace's owning thread (pipeline stages
 // are sequential on the caller; worker-thread work is accounted through
 // obs/metrics.h counters, not spans), so the tree needs no locking.
+//
+// Each span also records the process's peak resident set as it closes.
+// The peak only rises, so the first span to close at the run's final peak
+// is the stage that set it (peak_stage).
 #pragma once
 
 #include <memory>
@@ -24,8 +28,12 @@ namespace tinge::obs {
 struct SpanNode {
   std::string name;
   double seconds = 0.0;
+  double peak_rss_mb = 0.0;  ///< process peak resident set when it closed
   std::vector<std::unique_ptr<SpanNode>> children;
 };
+
+/// The process's peak resident set so far (getrusage ru_maxrss), in MiB.
+double process_peak_rss_mb();
 
 class Trace {
  public:
@@ -33,10 +41,14 @@ class Trace {
 
   const SpanNode& root() const { return *root_; }
 
-  /// Updates the root span's seconds to the wall time since construction.
-  /// Idempotent: callers that keep adding spans (the CLI's output stage)
-  /// call it again before serializing.
-  void finish() { root_->seconds = watch_.seconds(); }
+  /// Updates the root span's seconds to the wall time since construction
+  /// and its peak resident set to the process's peak so far. Idempotent:
+  /// callers that keep adding spans (the CLI's output stage) call it again
+  /// before serializing.
+  void finish() {
+    root_->seconds = watch_.seconds();
+    root_->peak_rss_mb = process_peak_rss_mb();
+  }
 
  private:
   friend class TraceSpan;
@@ -69,8 +81,14 @@ const SpanNode* find_span(const SpanNode& root, std::string_view name);
 /// Seconds of the first span named `name`, or 0.0 when absent.
 double span_seconds(const SpanNode& root, std::string_view name);
 
-/// Indented human-readable tree: name, seconds, share of the parent span.
-/// The `--trace` stderr summary and the bench tables print this.
+/// The stage that set a finished trace's peak resident set: the first span,
+/// in closing order (children before their parent), that closed at the
+/// root's peak; the root itself when the peak rose after its last child.
+const SpanNode& peak_stage(const SpanNode& root);
+
+/// Indented human-readable tree: name, seconds, share of the parent span,
+/// peak resident set at close. The `--trace` stderr summary and the bench
+/// tables print this.
 std::string format_trace(const SpanNode& root);
 
 }  // namespace tinge::obs

@@ -38,7 +38,7 @@ std::size_t impute_missing_with_median(ExpressionMatrix& matrix) {
   return imputed;
 }
 
-FilterResult filter_genes(const ExpressionMatrix& matrix,
+FilterResult filter_genes(ExpressionMatrix&& matrix,
                           const FilterCriteria& criteria) {
   FilterResult result;
   for (std::size_t g = 0; g < matrix.n_genes(); ++g) {
@@ -58,8 +58,14 @@ FilterResult filter_genes(const ExpressionMatrix& matrix,
     }
     result.kept.push_back(g);
   }
-  result.matrix = matrix.select_genes(result.kept);
+  matrix.keep_genes(result.kept);
+  result.matrix = std::move(matrix);
   return result;
+}
+
+FilterResult filter_genes(const ExpressionMatrix& matrix,
+                          const FilterCriteria& criteria) {
+  return filter_genes(matrix.clone(), criteria);
 }
 
 }  // namespace tinge

@@ -30,7 +30,12 @@ struct FilterResult {
 };
 
 /// Applies the criteria (missing fraction is evaluated before imputation,
-/// so call this first). The input matrix is not modified.
+/// so call this first) in place: the kept rows move up over the dropped
+/// ones and `matrix` becomes result.matrix, so no second matrix exists.
+FilterResult filter_genes(ExpressionMatrix&& matrix,
+                          const FilterCriteria& criteria);
+
+/// The same filter on a copy; the input matrix is not modified.
 FilterResult filter_genes(const ExpressionMatrix& matrix,
                           const FilterCriteria& criteria);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "parallel/parallel_for.h"
@@ -44,39 +45,77 @@ std::vector<float> rank_average(std::span<const float> values) {
   return rank;
 }
 
-RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix)
-    : n_genes_(matrix.n_genes()),
-      n_samples_(matrix.n_samples()),
-      stride_(round_up(n_samples_ == 0 ? 1 : n_samples_,
-                       kSimdAlignment / sizeof(std::uint32_t))),
-      ranks_(n_genes_ * stride_),
-      gene_names_(matrix.gene_names()) {
-  rank_rows(matrix, 0, n_genes_);
+namespace {
+
+/// Writes gene row `values`' ranks, zero-padded to `stride` elements, to
+/// `out` in one memcpy. `out` may be the row's own storage: the values are
+/// read in full before the ranks are copied over them.
+void rank_row(std::span<const float> values, void* out, std::size_t stride) {
+  std::vector<std::uint32_t> ranks = rank_order(values);
+  ranks.resize(stride);
+  std::memcpy(out, ranks.data(), stride * sizeof(std::uint32_t));
 }
 
-RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix,
-                           par::ThreadPool& pool, int threads)
-    : n_genes_(matrix.n_genes()),
-      n_samples_(matrix.n_samples()),
-      stride_(round_up(n_samples_ == 0 ? 1 : n_samples_,
-                       kSimdAlignment / sizeof(std::uint32_t))),
-      ranks_(n_genes_ * stride_),
-      gene_names_(matrix.gene_names()) {
-  const int contexts = threads > 0 ? std::min(threads, pool.max_threads())
-                                   : pool.max_threads();
-  par::parallel_for(pool, contexts, 0, n_genes_, /*grain=*/8,
-                    par::Schedule::Dynamic,
+/// Runs body(first, last) over genes [0, n): in dynamic blocks on
+/// `threads` contexts of `pool` (0 = all), or on the calling thread.
+template <typename Body>
+void for_gene_blocks(par::ThreadPool* pool, int threads, std::size_t n,
+                     const Body& body) {
+  if (pool == nullptr) {
+    body(std::size_t{0}, n);
+    return;
+  }
+  const int contexts = threads > 0 ? std::min(threads, pool->max_threads())
+                                   : pool->max_threads();
+  par::parallel_for(*pool, contexts, 0, n, /*grain=*/8, par::Schedule::Dynamic,
                     [&](std::size_t first, std::size_t last, int /*tid*/) {
-                      rank_rows(matrix, first, last);
+                      body(first, last);
                     });
 }
 
-void RankedMatrix::rank_rows(const ExpressionMatrix& matrix, std::size_t first,
-                             std::size_t last) {
-  for (std::size_t g = first; g < last; ++g) {
-    const auto ranks = rank_order(matrix.row(g));
-    std::copy(ranks.begin(), ranks.end(), ranks_.data() + g * stride_);
-  }
+}  // namespace
+
+RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix)
+    : RankedMatrix(matrix, nullptr, 0) {}
+
+RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix,
+                           par::ThreadPool& pool, int threads)
+    : RankedMatrix(matrix, &pool, threads) {}
+
+RankedMatrix::RankedMatrix(ExpressionMatrix&& matrix)
+    : RankedMatrix(std::move(matrix), nullptr, 0) {}
+
+RankedMatrix::RankedMatrix(ExpressionMatrix&& matrix, par::ThreadPool& pool,
+                           int threads)
+    : RankedMatrix(std::move(matrix), &pool, threads) {}
+
+RankedMatrix::RankedMatrix(const ExpressionMatrix& matrix,
+                           par::ThreadPool* pool, int threads)
+    : n_genes_(matrix.n_genes()),
+      n_samples_(matrix.n_samples()),
+      stride_(matrix.stride()),
+      ranks_(n_genes_ * stride_, kUninitialized),
+      gene_names_(matrix.gene_names()) {
+  for_gene_blocks(pool, threads, n_genes_, [&](std::size_t first,
+                                               std::size_t last) {
+    for (std::size_t g = first; g < last; ++g)
+      rank_row(matrix.row(g), ranks_.data() + g * stride_, stride_);
+  });
+}
+
+RankedMatrix::RankedMatrix(ExpressionMatrix&& matrix, par::ThreadPool* pool,
+                           int threads)
+    : n_genes_(matrix.n_genes()),
+      n_samples_(matrix.n_samples()),
+      stride_(matrix.stride()) {
+  for_gene_blocks(pool, threads, n_genes_, [&](std::size_t first,
+                                               std::size_t last) {
+    for (std::size_t g = first; g < last; ++g)
+      rank_row(matrix.row(g), matrix.row(g).data(), stride_);
+  });
+  ranks_ = std::move(matrix.values_).reinterpret_as<std::uint32_t>();
+  gene_names_ = std::move(matrix.gene_names_);
+  matrix = ExpressionMatrix();
 }
 
 StagedRankMatrix::StagedRankMatrix(std::size_t n_genes, std::size_t n_samples)

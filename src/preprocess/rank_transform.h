@@ -61,6 +61,13 @@ class RankedMatrix {
   RankedMatrix(const ExpressionMatrix& matrix, par::ThreadPool& pool,
                int threads);
 
+  /// The same ranks, consuming `matrix`: each row's floats are overwritten
+  /// by that row's uint32 ranks and the allocation is adopted (both element
+  /// types are 4 bytes at the same padded stride), so ranking never holds a
+  /// second matrix. `matrix` is left empty.
+  explicit RankedMatrix(ExpressionMatrix&& matrix);
+  RankedMatrix(ExpressionMatrix&& matrix, par::ThreadPool& pool, int threads);
+
   std::size_t n_genes() const { return n_genes_; }
   std::size_t n_samples() const { return n_samples_; }
 
@@ -72,8 +79,9 @@ class RankedMatrix {
   const std::vector<std::string>& gene_names() const { return gene_names_; }
 
  private:
-  void rank_rows(const ExpressionMatrix& matrix, std::size_t first,
-                 std::size_t last);
+  RankedMatrix(const ExpressionMatrix& matrix, par::ThreadPool* pool,
+               int threads);
+  RankedMatrix(ExpressionMatrix&& matrix, par::ThreadPool* pool, int threads);
 
   std::size_t n_genes_ = 0;
   std::size_t n_samples_ = 0;

@@ -114,7 +114,26 @@ class AlignedBuffer {
     for (std::size_t i = 0; i < size_; ++i) data_[i] = value;
   }
 
+  /// The same allocation as a buffer of U, which has T's size: storage
+  /// reuse once every element's bytes have been rewritten as a U with
+  /// std::memcpy (the consuming rank transform turns float rows into uint32
+  /// ranks in place).
+  template <typename U>
+  AlignedBuffer<U> reinterpret_as() && {
+    static_assert(sizeof(U) == sizeof(T) && alignof(U) == alignof(T));
+    AlignedBuffer<U> out;
+    if (data_ != nullptr)
+      out.data_ = std::launder(reinterpret_cast<U*>(data_));
+    out.size_ = size_;
+    data_ = nullptr;
+    size_ = 0;
+    return out;
+  }
+
  private:
+  template <typename>
+  friend class AlignedBuffer;
+
   void release() noexcept {
     std::free(data_);
     data_ = nullptr;

@@ -22,9 +22,6 @@ std::vector<std::string_view> split_view(std::string_view text, char sep) {
 }
 
 std::string_view trim(std::string_view text) {
-  const auto is_space = [](char c) {
-    return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f';
-  };
   while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
   while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
   return text;

@@ -16,6 +16,12 @@ namespace tinge {
 /// column).
 std::vector<std::string_view> split_view(std::string_view text, char sep);
 
+/// The ASCII whitespace trim() strips: space, \t, \r, \n, \v, \f.
+constexpr bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' ||
+         c == '\f';
+}
+
 /// Trims ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
 

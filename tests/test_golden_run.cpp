@@ -123,6 +123,29 @@ TEST_F(GoldenRun, StageTreeShapeIsPinned) {
     EXPECT_GE(stage.at("seconds").as_double(), 0.0);
     EXPECT_LE(stage.at("seconds").as_double(), total);
   }
+
+  // And the process's peak resident set as it closed: it only rises, in
+  // closing order (children before their parent), up to the root's, and
+  // the manifest names the stage that reached it first.
+  double previous = 0.0;
+  std::string first_at_peak;
+  const double run_peak = stages.at("peak_rss_mb").as_double();
+  const auto closing = [&](const obs::Json& stage) {
+    const double peak = stage.at("peak_rss_mb").as_double();
+    EXPECT_GE(peak, previous) << stage.at("name").as_string();
+    EXPECT_LE(peak, run_peak) << stage.at("name").as_string();
+    if (first_at_peak.empty() && peak >= run_peak)
+      first_at_peak = stage.at("name").as_string();
+    previous = peak;
+  };
+  for (const obs::Json& stage : children.elements()) {
+    for (const obs::Json& inner : stage.at("children").elements())
+      closing(inner);
+    closing(stage);
+  }
+  EXPECT_GT(previous, 0.0);
+  EXPECT_EQ(manifest_->at("peak_stage").as_string(),
+            first_at_peak.empty() ? "run" : first_at_peak);
 }
 
 TEST_F(GoldenRun, ResultSectionMatchesTheInMemoryRun) {
